@@ -144,17 +144,44 @@ func DecomposeAllScoped(rec *trace.Recorder, prefix string) []Frame {
 
 func decompose(scope string, events []trace.Event) []Frame {
 	type fstate struct {
-		frame *Frame
+		n     int // the frame's event count
 		stage Stage
 		last  float64
 		open  bool // between capture and terminal event
 		node  int  // current worker while computing
 	}
+	// Pass 1 lists the frames in first-seen order and counts their
+	// events, so every frame's timeline can be carved out of one array.
 	var (
-		byID  = map[int64]*fstate{}
-		order []int64
-		sefis []sefiWindow
+		index  = map[int64]int{} // frame ID -> position in frames
+		frames = []Frame{}
+		states []fstate
+		total  int
 	)
+	for _, e := range events {
+		if e.Frame == 0 {
+			continue
+		}
+		i, ok := index[e.Frame]
+		if !ok {
+			i = len(frames)
+			index[e.Frame] = i
+			frames = append(frames, Frame{ID: e.Frame, Scope: scope, Captured: e.T, Outcome: "in-flight"})
+			states = append(states, fstate{node: -1})
+		}
+		states[i].n++
+		total++
+	}
+	// Full slice expressions cap each timeline at its own events, so a
+	// caller appending to one frame's Events cannot reach its neighbour.
+	backing := make([]trace.Event, total)
+	off := 0
+	for i := range frames {
+		n := states[i].n
+		frames[i].Events = backing[off : off : off+n]
+		off += n
+	}
+	var sefis []sefiWindow
 	for _, e := range events {
 		// Reconstruct SEFI windows for compute-stall attribution.
 		if e.Kind == trace.SEFIStart {
@@ -163,14 +190,8 @@ func decompose(scope string, events []trace.Event) []Frame {
 		if e.Frame == 0 {
 			continue
 		}
-		st, ok := byID[e.Frame]
-		if !ok {
-			st = &fstate{frame: &Frame{ID: e.Frame, Scope: scope, Captured: e.T,
-				Outcome: "in-flight"}, node: -1}
-			byID[e.Frame] = st
-			order = append(order, e.Frame)
-		}
-		f := st.frame
+		i := index[e.Frame]
+		f, st := &frames[i], &states[i]
 		f.Events = append(f.Events, e)
 		if e.Kind == trace.FrameCaptured {
 			st.open, st.last, st.stage = true, e.T, StageQueue
@@ -231,12 +252,8 @@ func decompose(scope string, events []trace.Event) []Frame {
 			f.Done = e.T
 		}
 	}
-	out := make([]Frame, 0, len(order))
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, id := range order {
-		out = append(out, *byID[id].frame)
-	}
-	return out
+	sort.Slice(frames, func(i, j int) bool { return frames[i].ID < frames[j].ID })
+	return frames
 }
 
 // addCause records a distinct, sorted fault cause on the frame.

@@ -10,6 +10,7 @@ import (
 	"sudc/internal/netsim"
 	"sudc/internal/obs/latency"
 	"sudc/internal/obs/trace"
+	"sudc/internal/obs/trace/tracetest"
 	"sudc/internal/workload"
 )
 
@@ -219,6 +220,42 @@ func TestFormatCauses(t *testing.T) {
 	}
 	if got := latency.FormatCauses([]string{"a", "b"}); got != "a,b" {
 		t.Errorf("FormatCauses = %q", got)
+	}
+}
+
+// TestFrameEventsAreIndependent pins the carved timelines: frames share
+// one backing array, but appending to one frame's Events must never
+// write into its neighbour's.
+func TestFrameEventsAreIndependent(t *testing.T) {
+	frames := latency.Decompose([]trace.Event{
+		{T: 0, Kind: trace.FrameCaptured, Frame: 1, Node: 0},
+		{T: 0, Kind: trace.FrameCaptured, Frame: 2, Node: 0},
+		{T: 1, Kind: trace.Shed, Frame: 1, Node: -1},
+		{T: 2, Kind: trace.Shed, Frame: 2, Node: -1},
+	})
+	if len(frames) != 2 || len(frames[0].Events) != 2 || len(frames[1].Events) != 2 {
+		t.Fatalf("want 2 frames of 2 events, got %+v", frames)
+	}
+	want := append([]trace.Event(nil), frames[1].Events...)
+	grown := append(frames[0].Events, trace.Event{T: 99, Kind: trace.Lost, Frame: 1, Node: -1})
+	if len(grown) != 3 || grown[2].T != 99 {
+		t.Fatalf("append to frame 1 lost the event: %+v", grown)
+	}
+	for i, e := range frames[1].Events {
+		if e != want[i] {
+			t.Fatalf("appending to frame 1 rewrote frame 2's event %d: %+v", i, e)
+		}
+	}
+}
+
+func BenchmarkDecomposeAll(b *testing.B) {
+	rec := tracetest.Reference(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(latency.DecomposeAll(rec)) == 0 {
+			b.Fatal("reference recording decomposed to no frames")
+		}
 	}
 }
 

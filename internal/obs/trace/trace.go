@@ -330,12 +330,17 @@ func (r *Recorder) TotalLen() int {
 
 // walk visits this recorder and every descendant in deterministic
 // order: self first, then children ascending by name, with child
-// scope paths joined by "/".
+// scope paths joined by "/". Each scope's events are a [:len:len]
+// snapshot of its append-only slice rather than a copy: later Records
+// never write inside it, and visit must not write into it either.
 func (r *Recorder) walk(prefix string, visit func(scope string, events []Event)) {
 	if r == nil {
 		return
 	}
-	visit(prefix, r.Events())
+	r.mu.Lock()
+	events := r.events[:len(r.events):len(r.events)]
+	r.mu.Unlock()
+	visit(prefix, events)
 	for _, name := range r.Scopes() {
 		full := name
 		if prefix != "" {

@@ -169,6 +169,30 @@ func TestDecodeJSONLRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestDecodeKeepsEveryEvent pins that a decoded recording is not
+// bounded at DefaultLimit: the file holds DefaultLimit+1 events of one
+// scope and all of them come back, with no drops reported.
+func TestDecodeKeepsEveryEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("decodes a million-event recording")
+	}
+	line := `{"t":1,"k":"shed","n":-1}` + "\n"
+	rec, err := trace.DecodeJSONL(strings.NewReader(strings.Repeat(line, trace.DefaultLimit+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Len() != trace.DefaultLimit+1 || rec.Dropped() != 0 {
+		t.Errorf("decoded Len = %d, Dropped = %d; want %d and 0", rec.Len(), rec.Dropped(), trace.DefaultLimit+1)
+	}
+	var out bytes.Buffer
+	if err := rec.WriteJSONL(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != len(line)*(trace.DefaultLimit+1) {
+		t.Errorf("re-encoded %d bytes, want %d", out.Len(), len(line)*(trace.DefaultLimit+1))
+	}
+}
+
 func TestChromeExportIsValidAndDeterministic(t *testing.T) {
 	r := sampleRecorder()
 	var buf bytes.Buffer
