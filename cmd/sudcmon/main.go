@@ -11,40 +11,10 @@
 //	sudcmon -load trace.jsonl [analysis flags]
 //	sudcmon -diff [-window m] [-workers n -need n] A.jsonl B.jsonl
 //
-// Scenario flags (mirroring sudcsim):
-//
-//	-app name        Table III application (default "Flood Detection")
-//	-satellites n    EO constellation size (default 64)
-//	-power kW        SµDC compute power (default 4)
-//	-isl gbps        ISL capacity (default 30)
-//	-batch n         batch size (default 8)
-//	-filter f        edge filtering rate 0..1 (default 0)
-//	-hours h         simulated duration (default 2)
-//	-seed n          RNG seed (default 1)
-//	-planes n        orbital planes; > 0 runs the explicit Walker topology
-//	-sats-per-plane n  capture satellites per plane (with -planes)
-//	-sudc-every k    SµDC in every k-th plane; the rest relay (with -planes)
-//	-isl-delay ms    inter-plane ISL propagation delay (default 200)
-//	-shards n        parallel cell shards, 0 = one per CPU
-//	-mttf h          mean time to permanent worker death in hours (0 = off)
-//	-sefi m          mean time between transient SEFI hangs in minutes (0 = off)
-//	-sefi-rec s      mean SEFI watchdog recovery in seconds (default 30)
-//	-outage m        mean time between ISL outages in minutes (0 = off)
-//	-outage-dur s    mean ISL outage duration in seconds (default 60)
-//	-spares n        spare workers beyond the sized need (default 0)
-//	-retries n       ISL retry budget per frame, 0 = unlimited (default 8)
-//	-shed n          input-queue length that triggers load shedding
-//	-throttle s      COTS degradation severity 0..1 (0 = off)
-//	-cots name       hardware calibration: xing-cots, integrated-panel
-//	-eclipse-frac f  eclipse fraction override (< 0 = orbit-derived)
-//	-placement p     compute-placement policy: static-<tier>, greedy,
-//	                 queue, oracle ("" = off); the report then counts
-//	                 frames per tier
-//	-downlink-gbps f aggregate downlink capacity override in Gbit/s
-//	-edge-servers n  ground-edge GPU pool size (default 8)
-//	-latency-weight w  latency price in $/frame-second (default 1e-4)
-//	-place-compress a  onboard compression before downlink: none, ccsds,
-//	                 jpeg2000, neural
+// The scenario flags (application, constellation, topology, faults,
+// degradation, placement) are shared with sudcsim and listed once, in
+// package sudc/cmd/internal/scenario. With -placement the report also
+// counts frames per tier.
 //
 // Analysis flags:
 //
@@ -72,20 +42,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
-	"sudc/internal/compress"
-	"sudc/internal/degrade"
-	"sudc/internal/faults"
+	"sudc/cmd/internal/scenario"
 	"sudc/internal/netsim"
 	"sudc/internal/obs/latency"
 	"sudc/internal/obs/slo"
 	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
-	"sudc/internal/placement"
-	"sudc/internal/topo"
-	"sudc/internal/units"
-	"sudc/internal/workload"
 )
 
 func main() {
@@ -98,35 +61,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sudcmon", flag.ContinueOnError)
 	fs.SetOutput(out)
-	appName := fs.String("app", "Flood Detection", "Table III application")
-	satellites := fs.Int("satellites", 64, "EO constellation size")
-	powerKW := fs.Float64("power", 4, "SµDC compute power in kW")
-	islGbps := fs.Float64("isl", 30, "ISL capacity in Gbit/s")
-	batch := fs.Int("batch", 8, "batch size")
-	filter := fs.Float64("filter", 0, "edge filtering rate [0,1)")
-	hours := fs.Float64("hours", 2, "simulated duration in hours")
-	seed := fs.Int64("seed", 1, "RNG seed")
-	planes := fs.Int("planes", 0, "orbital planes; > 0 runs the explicit Walker topology")
-	satsPerPlane := fs.Int("sats-per-plane", 16, "capture satellites per plane (with -planes)")
-	sudcEvery := fs.Int("sudc-every", 1, "SµDC placed every k-th plane; the rest relay (with -planes)")
-	islDelayMs := fs.Float64("isl-delay", 200, "inter-plane ISL propagation delay in ms (with -planes)")
-	shards := fs.Int("shards", 0, "parallel cell shards for topology runs (0 = one per CPU)")
-	mttfH := fs.Float64("mttf", 0, "mean time to permanent worker death in hours (0 = off)")
-	sefiM := fs.Float64("sefi", 0, "mean time between SEFI hangs in minutes (0 = off)")
-	sefiRecS := fs.Float64("sefi-rec", 30, "mean SEFI recovery in seconds")
-	outageM := fs.Float64("outage", 0, "mean time between ISL outages in minutes (0 = off)")
-	outageDurS := fs.Float64("outage-dur", 60, "mean ISL outage duration in seconds")
-	spares := fs.Int("spares", 0, "spare workers beyond the sized need")
-	retries := fs.Int("retries", 8, "ISL retry budget per frame (0 = unlimited)")
-	shed := fs.Int("shed", 0, "input-queue length that triggers load shedding (0 = off, -1 = shed everything)")
-	throttle := fs.Float64("throttle", 0, "COTS degradation severity 0..1 (0 = off)")
-	cots := fs.String("cots", "xing-cots", "COTS hardware calibration name")
-	eclipseFrac := fs.Float64("eclipse-frac", -1, "eclipse fraction override (< 0 = orbit-derived)")
-	placementPol := fs.String("placement", "", "placement policy: static-<tier>, greedy, queue, oracle (\"\" = off)")
-	downlinkGbps := fs.Float64("downlink-gbps", 0, "aggregate downlink capacity override in Gbit/s (0 = derived)")
-	edgeServers := fs.Int("edge-servers", 8, "ground-edge GPU pool size (with -placement)")
-	latencyWeight := fs.Float64("latency-weight", 1e-4, "latency price in $/frame-second (with -placement)")
-	placeCompress := fs.String("place-compress", "", "onboard compression before downlink: none, ccsds, jpeg2000, neural")
+	sf := scenario.Register(fs)
 	load := fs.String("load", "", "analyze a saved JSONL recording instead of running a scenario")
 	topK := fs.Int("top", 5, "detail the k slowest frames")
 	jsonlOut := fs.String("jsonl", "", "save the recording as JSONL")
@@ -165,91 +100,11 @@ func run(args []string, out io.Writer) error {
 		horizon = lastEventTime(rec)
 		fmt.Fprintf(out, "loaded %s: %d events\n", *load, rec.TotalLen())
 	} else {
-		app, err := workload.ByName(*appName)
+		sc, err := sf.Build()
 		if err != nil {
 			return err
 		}
-		if *spares < 0 {
-			return fmt.Errorf("negative spares %d", *spares)
-		}
-		sized := int(*powerKW * 1000 / float64(app.GPUPower))
-		if sized < 1 {
-			sized = 1
-		}
-		var cfg netsim.Config
-		if *planes > 0 {
-			g, err := topo.Walker(*planes, *satsPerPlane, sized+*spares, *sudcEvery,
-				time.Duration(*islDelayMs*float64(time.Millisecond)))
-			if err != nil {
-				return err
-			}
-			cfg = netsim.TopologyConfig(app, g)
-			cfg.Constellation.FilterRate = *filter
-			cfg.Shards = *shards
-		} else {
-			cfg = netsim.DefaultConfig(app)
-			cfg.Constellation.Satellites = *satellites
-			cfg.Constellation.FilterRate = *filter
-			cfg.Workers = sized
-			cfg.NeedWorkers = cfg.Workers
-			cfg.Workers += *spares
-		}
-		cfg.ISLRate = units.GbpsOf(*islGbps)
-		cfg.BatchSize = *batch
-		cfg.Duration = time.Duration(*hours * float64(time.Hour))
-		cfg.Seed = *seed
-		cfg.Faults = faults.Scenario{
-			NodeMTTF:      time.Duration(*mttfH * float64(time.Hour)),
-			SEFIMTBE:      time.Duration(*sefiM * float64(time.Minute)),
-			ISLOutageMTBF: time.Duration(*outageM * float64(time.Minute)),
-		}
-		if cfg.Faults.SEFIMTBE > 0 {
-			cfg.Faults.SEFIRecovery = time.Duration(*sefiRecS * float64(time.Second))
-		}
-		if cfg.Faults.ISLOutageMTBF > 0 {
-			cfg.Faults.ISLOutageDuration = time.Duration(*outageDurS * float64(time.Second))
-		}
-		cfg.RetryLimit = *retries
-		cfg.ShedThreshold = *shed
-		if *throttle > 0 {
-			cal, err := degrade.CalibrationByName(*cots)
-			if err != nil {
-				return err
-			}
-			p := degrade.COTSProfile(*throttle)
-			p.Cal = cal
-			p.EclipseFraction = *eclipseFrac
-			cfg.Degrade = &p
-		}
-		if *placementPol != "" {
-			pol, err := placement.PolicyByName(*placementPol)
-			if err != nil {
-				return err
-			}
-			alg, err := compress.ByName(*placeCompress)
-			if err != nil {
-				return err
-			}
-			scen := placement.DefaultScenario(app)
-			scen.FramesPerMinute = cfg.Constellation.FramesPerMinute
-			scen.Satellites = *satellites
-			scen.SpacePower = units.KW(*powerKW)
-			scen.Workers = sized
-			scen.ISLRate = cfg.ISLRate
-			scen.EdgeServers = *edgeServers
-			scen.LatencyWeight = *latencyWeight
-			if alg.Ratio > 1 {
-				scen.Compression = alg
-			}
-			pc, err := scen.Config(pol)
-			if err != nil {
-				return err
-			}
-			if *downlinkGbps > 0 {
-				pc.DownlinkRate = units.GbpsOf(*downlinkGbps)
-			}
-			cfg.Placement = pc
-		}
+		app, cfg := sc.App, sc.Config
 		rec = trace.New(0)
 		cfg.Trace = rec
 		s, err := netsim.Run(cfg)
@@ -257,22 +112,21 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		horizon = cfg.Duration.Seconds()
-		if *planes > 0 {
-			// Per-cell scopes each hold the full SµDC complement, so the
-			// trace cross-check runs against the per-cell worker count.
-			workers, need = sized+*spares, sized+*spares
-		} else {
-			workers, need = cfg.Workers, cfg.NeedWorkers
+		// On a Walker each per-cell scope holds the full SµDC complement,
+		// which is also its need, so the trace cross-check runs per cell.
+		workers, need = sc.Workers, cfg.NeedWorkers
+		if need == 0 {
+			need = workers
 		}
 		if cfg.Faults.Enabled() {
 			desAvty = s.Availability
 		}
-		if *planes > 0 {
+		if sf.Planes > 0 {
 			fmt.Fprintf(out, "%s: %d planes × %d satellites, SµDC every %d planes (%d workers each), %v over %v (seed %d) — %d cross-shard frames, %d events recorded\n",
-				app.Name, *planes, *satsPerPlane, *sudcEvery, sized+*spares, cfg.ISLRate, cfg.Duration, *seed, s.CrossShardFrames, rec.TotalLen())
+				app.Name, sf.Planes, sf.SatsPerPlane, sf.SudcEvery, sc.Workers, cfg.ISLRate, cfg.Duration, sf.Seed, s.CrossShardFrames, rec.TotalLen())
 		} else {
 			fmt.Fprintf(out, "%s: %d satellites, %d workers, %v over %v (seed %d) — %d events recorded\n",
-				app.Name, *satellites, cfg.Workers, cfg.ISLRate, cfg.Duration, *seed, rec.TotalLen())
+				app.Name, sf.Satellites, cfg.Workers, cfg.ISLRate, cfg.Duration, sf.Seed, rec.TotalLen())
 		}
 	}
 

@@ -169,6 +169,10 @@ func TestUnknownCalibrationRejected(t *testing.T) {
 	if err := run([]string{"-throttle", "1", "-cots", "unobtainium", "-hours", "0.1"}, &b); err == nil {
 		t.Error("unknown calibration must error")
 	}
+	// The calibration is checked even when no degradation runs.
+	if err := run([]string{"-cots", "bogus", "-hours", "0.1"}, &b); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("unknown calibration without -throttle: err = %v, want it rejected", err)
+	}
 }
 
 // sloArgs is the pinned degraded SLO scenario: the 2-hour horizon

@@ -6,72 +6,21 @@
 //
 //	sudcsim [flags]
 //
-//	-app name        Table III application (default "Flood Detection")
-//	-satellites n    EO constellation size (default 64)
-//	-power kW        SµDC compute power (default 4)
-//	-isl gbps        ISL capacity (default 30)
-//	-batch n         batch size (default 8)
-//	-filter f        edge filtering rate 0..1 (default 0)
-//	-hours h         simulated duration (default 2)
-//	-seed n          RNG seed (default 1)
+// The scenario flags (application, constellation, topology, faults,
+// degradation, placement) are shared with sudcmon and listed once, in
+// package sudc/cmd/internal/scenario. The flags below are sudcsim's own.
 //
-// Explicit constellation topology (replaces the implicit single-SµDC
-// star with a Walker-style multi-plane graph, simulated in parallel
-// cell shards with conservative cross-cell synchronization):
+// Topology and degradation extras:
 //
-//	-planes n        orbital planes; > 0 switches to topology mode
-//	-sats-per-plane n  capture satellites per plane (default 16)
-//	-sudc-every k    SµDC in every k-th plane; the rest relay around the
-//	                 inter-plane ring (default 1)
-//	-isl-delay ms    inter-plane ISL propagation delay (default 200)
-//	-shards n        parallel cell shards, 0 = one per CPU; any value
-//	                 yields byte-identical results
-//	-shard-stats     print the synchronizer summary line: windows run,
-//	                 mean active cells and cross-cell messages per
-//	                 window, and the mean proven lookahead per cell run
-//
-// Fault injection and degraded-mode operation:
-//
-//	-mttf h          mean time to permanent worker death in hours (0 = off)
-//	-sefi m          mean time between transient SEFI hangs in minutes (0 = off)
-//	-sefi-rec s      mean SEFI watchdog recovery in seconds (default 30)
-//	-outage m        mean time between ISL outages in minutes (0 = off)
-//	-outage-dur s    mean ISL outage duration in seconds (default 60)
-//	-spares n        spare workers beyond the sized need (default 0)
-//	-retries n       ISL retry budget per frame, 0 = unlimited (default 8)
-//	-shed n          input-queue length that triggers load shedding
-//	                 (0 = off, -1 = shed every queued frame)
-//
-// Environment-coupled degradation (COTS-calibrated thermal throttling,
-// eclipse power brownouts; see internal/degrade):
-//
-//	-throttle s      degradation severity 0..1; > 0 layers the COTS
-//	                 schedule over the run (0 = off)
-//	-cots name       hardware calibration: xing-cots, integrated-panel
-//	                 (default xing-cots)
-//	-eclipse-frac f  eclipse fraction override; < 0 derives it from the
-//	                 default EO orbit (default -1)
+//	-shard-stats     print the synchronizer summary line (with -planes):
+//	                 windows run, mean active cells and cross-cell
+//	                 messages per window, and the mean proven lookahead
+//	                 per cell run
 //	-throttle-shed   scale the shed threshold down with the active
 //	                 throttle multiplier
-//	-defer-eclipse   defer partial-batch timeout dispatches past the
-//	                 eclipse window
+//	-defer-eclipse   defer partial-batch timeouts past the eclipse window
 //	-horizon-years y run the compressed-horizon survivability program
 //	                 instead of the DES (fleet lifecycle × degradation)
-//
-// Compute placement ("when to compute in space"; see
-// internal/placement): each frame is routed across four tiers —
-// onboard flight computer, orbital SµDC, ground-station edge,
-// terrestrial cloud — under a latency/cost objective:
-//
-//	-placement p     routing policy: static-onboard, static-space,
-//	                 static-edge, static-cloud, greedy, queue, oracle
-//	                 ("" = off, the legacy all-space pipeline)
-//	-downlink-gbps f aggregate downlink capacity override in Gbit/s
-//	                 (0 = derived from the default ground network)
-//	-edge-servers n  ground-edge GPU pool size (default 8)
-//	-latency-weight w  latency price in $/frame-second (default 1e-4)
-//	-place-compress a  onboard compression before downlink: none, ccsds,
-//	                 jpeg2000, neural (default none)
 //
 // Observability:
 //
@@ -101,18 +50,15 @@ import (
 	"os"
 	"time"
 
-	"sudc/internal/compress"
+	"sudc/cmd/internal/scenario"
 	"sudc/internal/degrade"
-	"sudc/internal/faults"
 	"sudc/internal/netsim"
 	"sudc/internal/obs"
 	"sudc/internal/obs/slo"
 	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
 	"sudc/internal/placement"
-	"sudc/internal/topo"
 	"sudc/internal/units"
-	"sudc/internal/workload"
 )
 
 func main() {
@@ -125,39 +71,11 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sudcsim", flag.ContinueOnError)
 	fs.SetOutput(out)
-	appName := fs.String("app", "Flood Detection", "Table III application")
-	satellites := fs.Int("satellites", 64, "EO constellation size")
-	powerKW := fs.Float64("power", 4, "SµDC compute power in kW")
-	islGbps := fs.Float64("isl", 30, "ISL capacity in Gbit/s")
-	batch := fs.Int("batch", 8, "batch size")
-	filter := fs.Float64("filter", 0, "edge filtering rate [0,1)")
-	hours := fs.Float64("hours", 2, "simulated duration in hours")
-	seed := fs.Int64("seed", 1, "RNG seed")
-	planes := fs.Int("planes", 0, "orbital planes; > 0 replaces the implicit star with a Walker topology")
-	satsPerPlane := fs.Int("sats-per-plane", 16, "capture satellites per plane (with -planes)")
-	sudcEvery := fs.Int("sudc-every", 1, "SµDC placed every k-th plane; the rest relay (with -planes)")
-	islDelayMs := fs.Float64("isl-delay", 200, "inter-plane ISL propagation delay in ms (with -planes)")
-	shards := fs.Int("shards", 0, "parallel cell shards for topology runs (0 = one per CPU)")
+	sf := scenario.Register(fs)
 	shardStats := fs.Bool("shard-stats", false, "print the sharded synchronizer summary (with -planes)")
-	mttfH := fs.Float64("mttf", 0, "mean time to permanent worker death in hours (0 = off)")
-	sefiM := fs.Float64("sefi", 0, "mean time between SEFI hangs in minutes (0 = off)")
-	sefiRecS := fs.Float64("sefi-rec", 30, "mean SEFI recovery in seconds")
-	outageM := fs.Float64("outage", 0, "mean time between ISL outages in minutes (0 = off)")
-	outageDurS := fs.Float64("outage-dur", 60, "mean ISL outage duration in seconds")
-	spares := fs.Int("spares", 0, "spare workers beyond the sized need")
-	retries := fs.Int("retries", 8, "ISL retry budget per frame (0 = unlimited)")
-	shed := fs.Int("shed", 0, "input-queue length that triggers load shedding (0 = off, -1 = shed everything)")
-	throttle := fs.Float64("throttle", 0, "degradation severity 0..1 (0 = off)")
-	cots := fs.String("cots", "xing-cots", "COTS hardware calibration name")
-	eclipseFrac := fs.Float64("eclipse-frac", -1, "eclipse fraction override (< 0 = orbit-derived)")
 	throttleShed := fs.Bool("throttle-shed", false, "scale the shed threshold with the throttle multiplier")
 	deferEclipse := fs.Bool("defer-eclipse", false, "defer partial-batch timeouts past the eclipse window")
 	horizonYears := fs.Float64("horizon-years", 0, "run the compressed-horizon survivability program over this many years")
-	placementPol := fs.String("placement", "", "placement policy: static-<tier>, greedy, queue, oracle (\"\" = off)")
-	downlinkGbps := fs.Float64("downlink-gbps", 0, "aggregate downlink capacity override in Gbit/s (0 = derived)")
-	edgeServers := fs.Int("edge-servers", 8, "ground-edge GPU pool size (with -placement)")
-	latencyWeight := fs.Float64("latency-weight", 1e-4, "latency price in $/frame-second (with -placement)")
-	placeCompress := fs.String("place-compress", "", "onboard compression before downlink: none, ccsds, jpeg2000, neural")
 	metrics := fs.Bool("metrics", false, "print the run's metric snapshot")
 	windowMin := fs.Float64("window", 0, "tumbling telemetry window in minutes (0 = off)")
 	sloOn := fs.Bool("slo", false, "evaluate mission SLOs per window and print the burn-rate report")
@@ -189,99 +107,20 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "pprof: serving on http://%s/debug/pprof/\n", addr)
 	}
 
-	cal, err := degrade.CalibrationByName(*cots)
-	if err != nil {
-		return err
-	}
 	if *horizonYears > 0 {
-		return runSurvivability(out, cal, *throttle, *eclipseFrac, *horizonYears, *seed)
+		return runSurvivability(out, sf.Cal, sf.Throttle, sf.EclipseFrac, *horizonYears, sf.Seed)
 	}
-
-	app, err := workload.ByName(*appName)
+	sc, err := sf.Build()
 	if err != nil {
 		return err
 	}
-	if *spares < 0 {
-		return fmt.Errorf("negative spares %d", *spares)
-	}
-	workers := int(*powerKW * 1000 / float64(app.GPUPower))
-	if workers < 1 {
-		workers = 1
-	}
-	var cfg netsim.Config
-	if *planes > 0 {
-		// Topology mode: each SµDC plane gets the sized worker count
-		// plus the spares; availability is defined by the full per-cell
-		// complement.
-		g, err := topo.Walker(*planes, *satsPerPlane, workers+*spares, *sudcEvery,
-			time.Duration(*islDelayMs*float64(time.Millisecond)))
-		if err != nil {
-			return err
-		}
-		cfg = netsim.TopologyConfig(app, g)
-		cfg.Constellation.FilterRate = *filter
-		cfg.Shards = *shards
-	} else {
-		cfg = netsim.DefaultConfig(app)
-		cfg.Constellation.Satellites = *satellites
-		cfg.Constellation.FilterRate = *filter
-		cfg.Workers = workers
-		cfg.NeedWorkers = cfg.Workers
-		cfg.Workers += *spares
-	}
-	cfg.ISLRate = units.GbpsOf(*islGbps)
-	cfg.BatchSize = *batch
-	cfg.Duration = time.Duration(*hours * float64(time.Hour))
-	cfg.Seed = *seed
-	cfg.Faults = faults.Scenario{
-		NodeMTTF:      time.Duration(*mttfH * float64(time.Hour)),
-		SEFIMTBE:      time.Duration(*sefiM * float64(time.Minute)),
-		ISLOutageMTBF: time.Duration(*outageM * float64(time.Minute)),
-	}
-	if cfg.Faults.SEFIMTBE > 0 {
-		cfg.Faults.SEFIRecovery = time.Duration(*sefiRecS * float64(time.Second))
-	}
-	if cfg.Faults.ISLOutageMTBF > 0 {
-		cfg.Faults.ISLOutageDuration = time.Duration(*outageDurS * float64(time.Second))
-	}
-	cfg.RetryLimit = *retries
-	cfg.ShedThreshold = *shed
-	if *throttle > 0 || *throttleShed || *deferEclipse {
-		p := degrade.COTSProfile(*throttle)
-		p.Cal = cal
-		p.EclipseFraction = *eclipseFrac
-		cfg.Degrade = &p
+	app, cfg := sc.App, sc.Config
+	if *throttleShed || *deferEclipse {
+		// The degraded-mode policies compile the schedule even at
+		// severity 0.
+		cfg.Degrade = &sc.Profile
 		cfg.ThrottleShed = *throttleShed
 		cfg.DeferInEclipse = *deferEclipse
-	}
-	if *placementPol != "" {
-		pol, err := placement.PolicyByName(*placementPol)
-		if err != nil {
-			return err
-		}
-		alg, err := compress.ByName(*placeCompress)
-		if err != nil {
-			return err
-		}
-		scen := placement.DefaultScenario(app)
-		scen.FramesPerMinute = cfg.Constellation.FramesPerMinute
-		scen.Satellites = *satellites
-		scen.SpacePower = units.KW(*powerKW)
-		scen.Workers = workers
-		scen.ISLRate = cfg.ISLRate
-		scen.EdgeServers = *edgeServers
-		scen.LatencyWeight = *latencyWeight
-		if alg.Ratio > 1 {
-			scen.Compression = alg
-		}
-		pc, err := scen.Config(pol)
-		if err != nil {
-			return err
-		}
-		if *downlinkGbps > 0 {
-			pc.DownlinkRate = units.GbpsOf(*downlinkGbps)
-		}
-		cfg.Placement = pc
 	}
 	cfg.Obs = reg.Scope("netsim")
 	cfg.Trace = rec
@@ -319,12 +158,12 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if *planes > 0 {
+	if sf.Planes > 0 {
 		fmt.Fprintf(out, "%s: %d planes × %d satellites → SµDC every %d planes (%d × %v workers each), %v ISL, batch %d\n\n",
-			app.Name, *planes, *satsPerPlane, *sudcEvery, workers+*spares, app.GPUPower, cfg.ISLRate, *batch)
+			app.Name, sf.Planes, sf.SatsPerPlane, sf.SudcEvery, sc.Workers, app.GPUPower, cfg.ISLRate, sf.Batch)
 	} else {
 		fmt.Fprintf(out, "%s: %d satellites → %.1f kW SµDC (%d × %v workers), %v ISL, batch %d\n\n",
-			app.Name, *satellites, *powerKW, cfg.Workers, app.GPUPower, cfg.ISLRate, *batch)
+			app.Name, sf.Satellites, sf.PowerKW, cfg.Workers, app.GPUPower, cfg.ISLRate, sf.Batch)
 	}
 	fmt.Fprintf(out, "  frames generated     %d\n", s.FramesGenerated)
 	fmt.Fprintf(out, "  frames processed     %d\n", s.FramesProcessed)
@@ -335,10 +174,10 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  ISL utilization      %.1f%%\n", 100*s.ISLUtilization)
 	fmt.Fprintf(out, "  worker utilization   %.1f%%\n", 100*s.WorkerUtilization)
 	fmt.Fprintf(out, "  compute energy       %.1f kWh\n", s.ComputeEnergy.WattHours()/1e3)
-	if *planes > 0 {
+	if sf.Planes > 0 {
 		fmt.Fprintf(out, "  cross-shard frames   %d\n", s.CrossShardFrames)
 	}
-	if *shardStats && *planes > 0 {
+	if *shardStats && sf.Planes > 0 {
 		sy := s.Sync
 		rounds := sy.Rounds
 		if rounds < 1 {
@@ -352,11 +191,11 @@ func run(args []string, out io.Writer) error {
 			sy.Rounds, float64(sy.CellRuns)/float64(rounds),
 			float64(sy.CrossMsgs)/float64(rounds), sy.LookaheadSum/float64(runs))
 	}
-	if cfg.Faults.Enabled() || *spares > 0 {
-		if *planes > 0 {
-			fmt.Fprintf(out, "\n  fault injection (%d workers per SµDC)\n", workers+*spares)
+	if cfg.Faults.Enabled() || sf.Spares > 0 {
+		if sf.Planes > 0 {
+			fmt.Fprintf(out, "\n  fault injection (%d workers per SµDC)\n", sc.Workers)
 		} else {
-			fmt.Fprintf(out, "\n  fault injection (%d needed + %d spare workers)\n", cfg.NeedWorkers, *spares)
+			fmt.Fprintf(out, "\n  fault injection (%d needed + %d spare workers)\n", cfg.NeedWorkers, sf.Spares)
 		}
 		fmt.Fprintf(out, "  availability         %.2f%%\n", 100*s.Availability)
 		fmt.Fprintf(out, "  degraded time        %.1f%%\n", 100*s.DegradedFraction)
@@ -368,7 +207,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  frames lost          %d\n", s.FramesLost)
 	}
 	if cfg.Degrade != nil {
-		fmt.Fprintf(out, "\n  degradation (%s, severity %.2f)\n", cal.Name, *throttle)
+		fmt.Fprintf(out, "\n  degradation (%s, severity %.2f)\n", sf.Cal.Name, sf.Throttle)
 		fmt.Fprintf(out, "  mean rate mult       %.3f\n", s.MeanRateMult)
 		fmt.Fprintf(out, "  throttled time       %v (%.1f%%)\n",
 			s.ThrottledTime.Truncate(time.Second), 100*s.ThrottledTime.Seconds()/cfg.Duration.Seconds())
@@ -379,7 +218,7 @@ func run(args []string, out io.Writer) error {
 	if cfg.Placement != nil {
 		m := cfg.Placement.Model
 		fmt.Fprintf(out, "\n  placement (%s policy, downlink %v, latency weight $%g/frame-s)\n",
-			*placementPol, cfg.Placement.DownlinkRate, *latencyWeight)
+			sf.Placement, cfg.Placement.DownlinkRate, sf.LatencyWeight)
 		fmt.Fprintf(out, "  %-12s %8s %12s %12s %12s\n", "tier", "frames", "mean", "p99", "$/frame")
 		for t := placement.Tier(0); t < placement.NumTiers; t++ {
 			fmt.Fprintf(out, "  %-12s %8d %12v %12v %12.4g\n", t.String(), s.TierFrames[t],

@@ -9,7 +9,6 @@ package netsim
 // closures fails loudly instead of silently costing 270k allocs/run.
 
 import (
-	"math/rand"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -17,8 +16,27 @@ import (
 	"sudc/internal/faults"
 	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
+	"sudc/internal/topo"
 	"sudc/internal/workload"
 )
+
+// starCell compiles the config's one-cell star and its fault schedule:
+// what Run hands resetTopo for a nil-Topology config.
+func starCell(t testing.TB, c Config) (*cellPlan, faults.Schedule) {
+	t.Helper()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	plans, err := compile(topo.Star(c.Constellation.Satellites, c.Workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := faults.Build(c.Faults, c.Workers, c.Duration, c.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &plans[0], sched
+}
 
 // steadySim builds a fault-free simulator (obs and tracing off) and
 // advances it far enough that every backing array has reached its
@@ -26,15 +44,9 @@ import (
 func steadySim(t testing.TB) *simulator {
 	t.Helper()
 	c := DefaultConfig(workload.Suite[0])
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sched, err := faults.Build(c.Faults, c.Workers, c.Duration, c.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, sched := starCell(t, c)
 	s := new(simulator)
-	s.reset(c, sched, nil, rand.New(rand.NewSource(c.Seed)))
+	s.resetTopo(c, p, sched, nil, 0, 1)
 	for i := 0; i < 4000; i++ {
 		if !s.step() {
 			t.Fatal("simulation ended during warm-up")
@@ -86,17 +98,14 @@ func TestNilWindowCollectorZeroAllocs(t *testing.T) {
 func TestSimulatorReusesBackingArrays(t *testing.T) {
 	// Re-running a simulator must recycle every arena: the event heap,
 	// the latency buffer, and the queues keep their backing arrays
-	// across reset — the property that makes RunReplicas reach a
+	// across resetTopo — the property that makes RunReplicas reach a
 	// zero-growth steady state through the simulator pool.
 	c := DefaultConfig(workload.Suite[0])
 	c.Duration = 10 * time.Minute
-	sched, err := faults.Build(c.Faults, c.Workers, c.Duration, c.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, sched := starCell(t, c)
 	s := new(simulator)
 	run := func() {
-		s.reset(c, sched, nil, rand.New(rand.NewSource(c.Seed)))
+		s.resetTopo(c, p, sched, nil, 0, 1)
 		for s.step() {
 		}
 		s.finish()

@@ -149,24 +149,32 @@ func compile(g *topo.Graph) ([]cellPlan, error) {
 const frameIDBits = 40
 
 // resetTopo prepares the pooled simulator to run one compiled cell.
-// The caller has already scoped c.Obs / c.Trace to the cell and built
-// the cell's fault schedule over its own workers and links; cells is
-// the total cell count, which splits the shared placement downlink.
+// The caller has already scoped c.Obs / c.Trace (and c.Seed) to the
+// cell and built the cell's fault schedule over its own workers and
+// links; cells is the total cell count, which splits the shared
+// placement downlink.
 func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg *degrade.Schedule, cell, cells int) {
-	s.resetCommon(c, s.ownRand, p.workers)
-	s.topoMode = true
+	s.resetCommon(c, p.workers)
 	s.mergeLat = cells > 1
 	s.setDegrade(deg)
 	s.need = p.workers
+	if cells == 1 && c.NeedWorkers > 0 {
+		// A one-cell graph may define full service below its worker
+		// complement (the sized need, with the rest as spares).
+		s.need = c.NeedWorkers
+	}
 	s.totalSats = p.sats
 	s.setPlacement(c.Placement, cells)
 	if c.Window > 0 {
 		// The cell collects its own fragments; the shard runner owns the
-		// merger and drains every cell at the cross-cell watermark.
+		// merger (see newShardRunner for the lone-cell case).
 		s.win = window.NewCollector(c.Window.Seconds(), cell)
 	}
 	s.frameID = int64(cell) << frameIDBits
 
+	// Edge labels tag trace events and outage causes only where there
+	// is more than one ISL to tell apart.
+	labeled := cells > 1 || len(p.links) > 1
 	s.links = resizeLinks(s.links, len(p.links))
 	for i := range p.links {
 		pl, l := &p.links[i], &s.links[i]
@@ -181,7 +189,9 @@ func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg 
 		l.destCell = pl.destCell
 		l.crossTo = pl.crossTo
 		l.name = pl.name
-		l.label = pl.name
+		if labeled {
+			l.label = pl.name
+		}
 	}
 
 	s.sudcs = resizeSudcs(s.sudcs, len(p.sudcs))

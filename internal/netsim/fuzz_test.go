@@ -6,6 +6,7 @@ import (
 
 	"sudc/internal/constellation"
 	"sudc/internal/faults"
+	"sudc/internal/topo"
 	"sudc/internal/units"
 	"sudc/internal/workload"
 )
@@ -13,15 +14,21 @@ import (
 // FuzzConfigValidate throws arbitrary field values at Validate — it must
 // classify every configuration without panicking — and, when the config
 // is valid and small enough to simulate quickly, runs it to check that a
-// validated config never fails or breaks frame conservation.
+// validated config never fails or breaks frame conservation. planes
+// selects the layout: 0 is the nil-Topology star, 1 the explicit
+// topo.Star, and more a Walker graph with an SµDC in every plane.
 func FuzzConfigValidate(f *testing.F) {
-	f.Add(2, 6.0, 2, 4, 30.0, 0.2, 300.0, 0.0, 0.0, 0.0, 0, 2.0, 0)
-	f.Add(64, 1.2, 33, 8, 120.0, 0.2, 600.0, 3600.0, 0.0, 0.0, 8, 2.0, 0)
-	f.Add(1, 0.5, 1, 1, 1.0, 0.0, 60.0, 60.0, 30.0, 10.0, 1, 0.5, 16)
-	f.Add(-3, -1.0, 0, -2, -5.0, 1.5, 0.0, -1.0, 5.0, -2.0, -1, -0.1, -9)
+	f.Add(2, 6.0, 2, 4, 30.0, 0.2, 300.0, 0.0, 0.0, 0.0, 0, 2.0, 0, 0, 0)
+	f.Add(64, 1.2, 33, 8, 120.0, 0.2, 600.0, 3600.0, 0.0, 0.0, 8, 2.0, 0, 0, 0)
+	f.Add(1, 0.5, 1, 1, 1.0, 0.0, 60.0, 60.0, 30.0, 10.0, 1, 0.5, 16, 0, 0)
+	f.Add(-3, -1.0, 0, -2, -5.0, 1.5, 0.0, -1.0, 5.0, -2.0, -1, -0.1, -9, 0, 0)
+	// NeedWorkers on a one-cell graph (accepted) and on a two-cell
+	// Walker (rejected).
+	f.Add(4, 6.0, 2, 4, 30.0, 0.2, 300.0, 0.0, 0.0, 0.0, 0, 2.0, 0, 2, 1)
+	f.Add(2, 6.0, 2, 4, 30.0, 0.2, 300.0, 0.0, 0.0, 0.0, 0, 2.0, 0, 1, 2)
 	f.Fuzz(func(t *testing.T, sats int, fpm float64, workers, batch int,
 		timeoutS, insight, durS, mttfS, sefiS, outageS float64,
-		retries int, backoffS float64, shed int) {
+		retries int, backoffS float64, shed, need, planes int) {
 		c := Config{
 			Constellation:   constellation.Constellation{Satellites: sats, FramesPerMinute: fpm},
 			App:             workload.Suite[0],
@@ -44,13 +51,27 @@ func FuzzConfigValidate(f *testing.F) {
 			RetryBackoff:    time.Duration(backoffS * float64(time.Second)),
 			RetryBackoffCap: time.Duration(backoffS * 4 * float64(time.Second)),
 			ShedThreshold:   shed,
+			NeedWorkers:     need,
+		}
+		switch {
+		case planes == 1:
+			c.Topology = topo.Star(sats, workers)
+		case planes > 1 && planes <= 8:
+			g, err := topo.Walker(planes, sats, workers, 1, 0)
+			if err != nil {
+				return
+			}
+			c.Topology = g
 		}
 		err := c.Validate() // must never panic, whatever the fields
 		if err != nil {
 			return
 		}
+		if c.Topology != nil && c.Topology.Cells() > 1 && need != 0 {
+			t.Fatalf("NeedWorkers %d accepted on a %d-cell graph", need, c.Topology.Cells())
+		}
 		// Only simulate configs cheap enough for a fuzz iteration.
-		if sats > 4 || fpm > 30 || workers > 4 || batch > 64 ||
+		if sats > 4 || fpm > 30 || workers > 4 || batch > 64 || planes > 2 ||
 			c.Duration > 10*time.Minute ||
 			(c.Faults.SEFIMTBE > 0 && c.Faults.SEFIMTBE < time.Second) ||
 			(c.Faults.ISLOutageMTBF > 0 && c.Faults.ISLOutageMTBF < time.Second) ||

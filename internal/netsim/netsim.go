@@ -20,12 +20,17 @@
 // is how the paper's fourth optimization (near-zero-cost compute
 // overprovisioning) is validated end to end: DES-measured availability
 // under spares is cross-checked against reliability.Availability.
+//
+// Every run executes one compiled constellation graph (package topo).
+// A config without a Topology is the paper's one-cell star,
+// topo.Star(Constellation.Satellites, Workers); explicit graphs add
+// multi-hop routing, per-edge ISL state, and cells that run sharded
+// with conservative cross-cell synchronization.
 package netsim
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sudc/internal/constellation"
@@ -106,23 +111,25 @@ type Config struct {
 	// time series (0 = DefaultSampleEvery; negative is invalid).
 	SampleEvery time.Duration
 
-	// Topology, when non-nil, replaces the implicit single-SµDC star
-	// with an explicit constellation graph: frames route along graph
-	// edges toward their nearest SµDC, every ISL edge gets its own
-	// queue, transfer state, and outage process, and the simulation is
-	// sharded by graph cell (orbital plane or cluster) with conservative
-	// cross-cell synchronization. Constellation.Satellites, Workers, and
-	// NeedWorkers are defined by the graph in this mode (NeedWorkers
-	// must stay 0: each cell's full worker complement defines full
-	// service); Constellation.FramesPerMinute, FilterRate, ISLRate (the
-	// rate inherited by edges with Rate 0), and every other field keep
-	// their meaning. A nil Topology is the legacy star, byte-identical
-	// to the pre-topology simulator.
+	// Topology is the constellation graph the run simulates: frames
+	// route along graph edges toward their nearest SµDC, every ISL edge
+	// gets its own queue, transfer state, and outage process, and the
+	// simulation is sharded by graph cell (orbital plane or cluster)
+	// with conservative cross-cell synchronization. The graph defines
+	// the satellite and worker populations, so Constellation.Satellites
+	// and Workers are ignored; Constellation.FramesPerMinute,
+	// FilterRate, ISLRate (the rate inherited by edges with Rate 0), and
+	// every other field keep their meaning. NeedWorkers may lower the
+	// full-service bar on a one-cell graph; on a multi-cell graph it
+	// must stay 0, since each cell's full worker complement defines its
+	// full service. A nil Topology is the one-cell star
+	// topo.Star(Constellation.Satellites, Workers).
 	Topology *topo.Graph
 	// Shards caps the number of parallel workers executing topology
 	// cells (0 = par.DefaultWorkers()). Results are byte-identical for
 	// any value: sharding only schedules which goroutine advances a
-	// cell, never what the cell computes. Ignored without Topology.
+	// cell, never what the cell computes. A one-cell graph, including
+	// the nil-Topology star, runs on one goroutine whatever the value.
 	Shards int
 
 	// Degrade, when non-nil, couples the run to its orbital environment:
@@ -149,14 +156,14 @@ type Config struct {
 	// Placement, when non-nil, enables the multi-tier compute-placement
 	// engine: at capture time each frame is routed by the configured
 	// policy to one of four compute tiers — the capturing satellite's
-	// flight computer, the orbital SµDC (the legacy ISL/batch pipeline),
+	// flight computer, the orbital SµDC (the ISL/batch pipeline),
 	// a ground-station edge site behind the shared downlink, or the
 	// terrestrial cloud behind the WAN — and the run reports per-tier
 	// frame counts, latency, and realized $/frame. Routing decisions are
 	// pure functions of the model and the observed queue state (no RNG
 	// draws, no seed events), so a Static-to-space policy replays the
 	// placement-free frame flow byte for byte, modulo the placement-only
-	// Stats fields and "placed" trace lines. In topology mode the
+	// Stats fields and "placed" trace lines. On a multi-cell graph the
 	// configured downlink rate is split evenly across cells and each
 	// cell gets its own EdgeServers-sized edge pool.
 	Placement *placement.Config
@@ -234,10 +241,10 @@ func TopologyConfig(app workload.App, g *topo.Graph) Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	workers := c.Workers
 	if c.Topology != nil {
-		// Topology mode: the graph defines satellites and workers, so
-		// only the per-satellite rate and filter fields of the
-		// constellation apply.
+		// The graph defines satellites and workers, so only the
+		// per-satellite rate and filter fields of the constellation apply.
 		if err := c.Topology.Validate(); err != nil {
 			return err
 		}
@@ -247,25 +254,27 @@ func (c Config) Validate() error {
 		if c.Constellation.FilterRate < 0 || c.Constellation.FilterRate >= 1 {
 			return fmt.Errorf("netsim: filter rate %v out of [0,1)", c.Constellation.FilterRate)
 		}
-		if c.NeedWorkers != 0 {
-			return errors.New("netsim: NeedWorkers is graph-defined in topology mode (must be 0)")
+		if c.NeedWorkers != 0 && c.Topology.Cells() > 1 {
+			return errors.New("netsim: NeedWorkers must be 0 on a multi-cell topology: each cell's full worker complement defines its full service")
 		}
 		if c.Shards < 0 {
 			return errors.New("netsim: negative shard count")
 		}
+		workers = c.Topology.Workers()
 	} else {
+		// Run compiles the star from these caller-supplied fields.
 		if err := c.Constellation.Validate(); err != nil {
 			return err
 		}
 		if c.Workers < 1 {
 			return errors.New("netsim: need at least one worker")
 		}
-		if c.NeedWorkers < 0 {
-			return errors.New("netsim: negative need-workers")
-		}
-		if c.NeedWorkers > c.Workers {
-			return fmt.Errorf("netsim: need %d workers but only %d installed", c.NeedWorkers, c.Workers)
-		}
+	}
+	if c.NeedWorkers < 0 {
+		return errors.New("netsim: negative need-workers")
+	}
+	if c.NeedWorkers > workers {
+		return fmt.Errorf("netsim: need %d workers but only %d installed", c.NeedWorkers, workers)
 	}
 	if err := c.App.Validate(); err != nil {
 		return err
@@ -399,8 +408,8 @@ type Stats struct {
 
 	// CrossShardFrames counts frames delivered across cell boundaries as
 	// timestamped messages by the sharded topology runner. Always zero
-	// for legacy (nil-Topology) runs and for topologies whose cells are
-	// self-contained.
+	// for one-cell graphs (including the nil-Topology star) and for
+	// topologies whose cells are self-contained.
 	CrossShardFrames int
 
 	// TierFrames counts completed frames per placement tier, and
@@ -418,7 +427,8 @@ type Stats struct {
 	OracleMeanCost  float64
 
 	// Sync summarizes the conservative synchronizer of a multi-cell
-	// topology run. Zero for legacy and single-cell runs.
+	// topology run. Zero for one-cell graphs, including the nil-Topology
+	// star.
 	Sync SyncStats
 }
 
@@ -457,7 +467,7 @@ const (
 	evArriveMsg          // a cross-cell message frame arrives in this cell
 	evPhase              // the degradation schedule advances to its next phase
 
-	// Placement-engine events. Appended after the legacy kinds so the
+	// Placement-engine events. Appended after the pipeline kinds so the
 	// placement-free event numbering (and every golden keyed to it) is
 	// untouched.
 	evOnboardDone  // a satellite flight computer finished a frame
@@ -496,39 +506,17 @@ type workerState struct {
 	batch   []frame // in-flight frames, for re-dispatch on death
 }
 
-// Run executes the simulation seeded from c.Seed — the deterministic
-// convenience wrapper around RunWithRand. The RNG stream is identical to
-// rand.New(rand.NewSource(c.Seed)); Run reseeds a pooled generator in
-// place instead of allocating its ~5 KB state table per run.
+// Run executes the simulation seeded from c.Seed. A nil Topology
+// compiles to the one-cell star, so every run takes the same compiled,
+// cell-sharded path.
 func Run(c Config) (Stats, error) {
 	if err := c.Validate(); err != nil {
 		return Stats{}, err
 	}
-	if c.Topology != nil {
-		return runTopology(c)
+	if c.Topology == nil {
+		c.Topology = topo.Star(c.Constellation.Satellites, c.Workers)
 	}
-	deg, err := buildDegrade(c)
-	if err != nil {
-		return Stats{}, err
-	}
-	sched, err := faults.BuildModulated(c.Faults, c.Workers, 1, c.Duration, c.Seed, deg.FaultEnvelope())
-	if err != nil {
-		return Stats{}, err
-	}
-	s := getSim()
-	if s.ownRand == nil {
-		s.ownRand = rand.New(rand.NewSource(c.Seed))
-	} else {
-		s.ownRand.Seed(c.Seed)
-	}
-	s.reset(c, sched, deg, s.ownRand)
-	for s.step() {
-	}
-	stats := s.finish()
-	wins := s.closeRunWindows()
-	putSim(s)
-	emitSLO(c, wins)
-	return stats, nil
+	return runTopology(c)
 }
 
 // RunReplicas executes `replicas` independent runs of the configuration,
@@ -575,45 +563,6 @@ func RunReplicas(c Config, replicas, workers int) ([]Stats, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// RunWithRand executes the simulation drawing all randomness (arrival
-// phases and jitter, analyzer decisions) from the injected RNG. The RNG
-// is owned by this run: callers running simulations in parallel must
-// fork one stream per run (par.ForkRand) rather than share one, and the
-// stream may be advanced past the last draw the run consumed (draws are
-// batched). Fault schedules are not drawn from this RNG: they fork their
-// own per-node streams from c.Seed (package faults), so enabling a fault
-// process never perturbs arrivals.
-func RunWithRand(c Config, rng *rand.Rand) (Stats, error) {
-	if err := c.Validate(); err != nil {
-		return Stats{}, err
-	}
-	if rng == nil {
-		return Stats{}, errors.New("netsim: nil rng")
-	}
-	if c.Topology != nil {
-		// Topology runs fork one RNG stream per cell from c.Seed; a
-		// single injected stream cannot express that.
-		return Stats{}, errors.New("netsim: topology runs own their RNG streams; use Run")
-	}
-	deg, err := buildDegrade(c)
-	if err != nil {
-		return Stats{}, err
-	}
-	sched, err := faults.BuildModulated(c.Faults, c.Workers, 1, c.Duration, c.Seed, deg.FaultEnvelope())
-	if err != nil {
-		return Stats{}, err
-	}
-	s := getSim()
-	s.reset(c, sched, deg, rng)
-	for s.step() {
-	}
-	stats := s.finish()
-	wins := s.closeRunWindows()
-	putSim(s)
-	emitSLO(c, wins)
-	return stats, nil
 }
 
 // buildDegrade compiles the config's degradation schedule over the run

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -249,24 +248,5 @@ func TestSmallConstellation(t *testing.T) {
 	}
 	if !s.KeptUp {
 		t.Error("a 4 kW SµDC trivially keeps up with 2 satellites")
-	}
-}
-
-func TestRunWithRandMatchesSeededRun(t *testing.T) {
-	c := DefaultConfig(mustApp(t, "Flood Detection"))
-	c.Duration = 10 * time.Minute
-	want, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunWithRand(c, rand.New(rand.NewSource(c.Seed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Error("RunWithRand(seeded rng) must equal Run with the same seed")
-	}
-	if _, err := RunWithRand(c, nil); err == nil {
-		t.Error("nil rng must error")
 	}
 }

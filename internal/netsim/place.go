@@ -2,7 +2,7 @@ package netsim
 
 // Multi-tier compute placement inside the DES: when Config.Placement is
 // set, every captured frame is routed at capture time to one of the
-// four placement tiers. The space tier is the legacy ISL/batch pipeline
+// four placement tiers. The space tier is the ISL/batch pipeline
 // untouched; the other three are modeled as FIFO server queues with
 // constant service times — a derated flight computer per satellite
 // (onboard), a finite premium GPU pool behind the shared downlink
@@ -14,7 +14,7 @@ package netsim
 //
 // Determinism contract: routing decisions are pure functions of the
 // priced model and the observed queue lengths — no RNG draws, no seed
-// events — and the new event kinds are appended after the legacy ones.
+// events — and the new event kinds are appended after the pipeline ones.
 // A Static-to-space policy therefore replays the placement-free event
 // sequence bit for bit; the only deltas are the placement-only Stats
 // fields and the "placed" trace lines.
@@ -32,7 +32,7 @@ import (
 // setPlacement installs the (possibly nil) placement engine. Must run
 // after resetCommon (it keys on frameBits) and after totalSats is
 // known; cells is the topology cell count the shared downlink rate is
-// split across (1 for legacy runs).
+// split across (1 for the star).
 func (s *simulator) setPlacement(pc *placement.Config, cells int) {
 	s.place = pc
 	if pc == nil {
@@ -76,7 +76,7 @@ func (s *simulator) route(f frame, sat int) {
 	}
 	switch d.Tier {
 	case placement.TierSpace:
-		// The legacy pipeline, frame tagged: ISL queue, batcher, workers.
+		// The SµDC pipeline, frame tagged: ISL queue, batcher, workers.
 		ei := s.satEdge[sat]
 		s.links[ei].queue.pushBack(f)
 		s.attemptISL(ei)

@@ -23,8 +23,8 @@ package netsim
 // global event order, nothing cell j ever does happens before T_j, so
 // no message can reach cell i before limit_i: i safely processes every
 // event with at < limit_i this round. A cell whose limit reaches the
-// horizon runs to it inclusively (matching the legacy `at > horizon`
-// stop); a cell with no incoming cross-cell edges has limit_i = +Inf
+// horizon runs to it inclusively (the `at > horizon` stop of
+// simulator.step); a cell with no incoming cross-cell edges has limit_i = +Inf
 // and finishes in its first round. The fixpoint is never more
 // conservative than the old global tmin + min-cross-delay window, and
 // on graphs with heterogeneous delays (short FSO hops, long ring ISLs)
@@ -48,7 +48,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -129,10 +128,11 @@ type shardRunner struct {
 }
 
 // newShardRunner builds the per-cell simulators. A single-cell
-// topology runs on the root seed with no observability scoping — the
-// Star graph is then equivalent to the legacy implicit star — while
-// multi-cell topologies fork one seed, obs scope, and trace child
-// ("c%03d") per cell.
+// topology runs on the root seed with no observability scoping and
+// shares the runner's window merger, flushing windows live at each
+// event instead of buffering fragments until a round ends; multi-cell
+// topologies fork one seed, obs scope, and trace child ("c%03d") per
+// cell.
 func newShardRunner(c Config, plans []cellPlan, deg *degrade.Schedule) (*shardRunner, error) {
 	n := len(plans)
 	r := &shardRunner{
@@ -202,13 +202,11 @@ func newShardRunner(c Config, plans []cellPlan, deg *degrade.Schedule) (*shardRu
 			return nil, err
 		}
 		s := getSim()
-		if s.ownRand == nil {
-			s.ownRand = rand.New(rand.NewSource(cc.Seed))
-		} else {
-			s.ownRand.Seed(cc.Seed)
-		}
 		r.sims = append(r.sims, s)
 		s.resetTopo(cc, p, sched, deg, i, n)
+		if !multi {
+			s.winM = r.winM
+		}
 		r.weights[i] = p.workers
 		r.linksN[i] = len(p.links)
 	}
@@ -522,8 +520,8 @@ func (r *shardRunner) finish() Stats {
 	r.stopPool()
 	if len(r.sims) == 1 {
 		// Single cell: the cell's stats ARE the run's stats. Bypassing
-		// the weighted merge keeps the Star topology bit-identical to
-		// the legacy simulator (x*w/w is not an exact float identity).
+		// the weighted merge keeps them exact (x*w/w is not an exact
+		// float identity).
 		s := r.sims[0]
 		cs := s.finish()
 		s.closeWindows(r.winM)
@@ -744,7 +742,7 @@ func insertMsgs(ms []shardMsg) {
 	}
 }
 
-// runTopology executes a topology-mode configuration.
+// runTopology executes a configuration over its compiled graph.
 func runTopology(c Config) (Stats, error) {
 	plans, err := compile(c.Topology)
 	if err != nil {

@@ -16,12 +16,12 @@ import (
 	"sudc/internal/units"
 )
 
-// randBuf batches Float64 draws from the run's RNG stream. Draws are
+// randBuf batches Float64 draws from the cell's RNG stream. Draws are
 // consumed in exactly the order the simulator requests them — buffering
 // only moves the underlying generator calls out of the per-event path —
 // so the value sequence, and therefore every golden, is unchanged. The
-// stream may be advanced past the last consumed draw at the end of a
-// run, which is why RunWithRand's contract gives the RNG to the run.
+// generator may run ahead of the last consumed draw at the end of a
+// run; it is the simulator's own and is reseeded before the next.
 type randBuf struct {
 	src  *rand.Rand
 	i, n int
@@ -45,11 +45,9 @@ func (r *randBuf) Float64() float64 {
 }
 
 // linkState is one directed ISL edge: its static compile-time routing
-// (where a frame delivered at the far end continues) plus the dynamic
-// transfer state that used to live as the simulator's single aggregate
-// ISL. The legacy star is exactly one linkState with zero delay whose
-// continuation is SµDC 0, so the generalized per-edge code replays the
-// pre-refactor event sequence bit for bit.
+// (where a frame delivered at the far end continues) plus its dynamic
+// transfer state. The star is exactly one linkState with zero delay
+// whose continuation is SµDC 0.
 type linkState struct {
 	// Static per-run compile outputs.
 	sendTime float64 // per-frame transmission time, s
@@ -59,7 +57,7 @@ type linkState struct {
 	destCell int     // cross: destination cell
 	crossTo  int     // cross: continuation in the destination cell (edge or ^sudc)
 	name     string  // metrics label "<from>-<to>"
-	label    string  // trace edge label; "" outside topology mode
+	label    string  // trace edge label; "" on a single-ISL graph
 
 	// Dynamic transfer state.
 	queue      frameDeque // frames waiting for (or crossing) the link
@@ -124,16 +122,16 @@ type simulator struct {
 	batchTimeout float64
 
 	rng randBuf
-	// ownRand is the pooled RNG used by Run (reseeded in place per run);
-	// RunWithRand substitutes the caller's stream instead.
+	// ownRand is the pooled generator behind rng, reseeded in place from
+	// the cell seed on every reset instead of allocating its ~5 KB state.
 	ownRand *rand.Rand
 
 	q   eventHeap
 	fq  frameHeap // per-satellite capture timers (see frameHeap)
 	seq int
 
-	// Compiled topology. The legacy configuration compiles to one
-	// source group, one link, and one SµDC.
+	// Compiled topology. The star compiles to one source group, one
+	// link, and one SµDC.
 	sources    []sourceState
 	links      []linkState
 	sudcs      []sudcState
@@ -163,8 +161,7 @@ type simulator struct {
 	rec     *recorder
 	evCount [len(eventNames)]int64
 
-	tr       *trace.Recorder
-	topoMode bool
+	tr *trace.Recorder
 	// mergeLat marks a multi-cell run: the shard runner recomputes the
 	// latency distribution over the merged samples, so finish() skips
 	// the per-cell sort (the Mean/P95 of one cell are never published).
@@ -220,8 +217,9 @@ type simulator struct {
 	brownoutIdx  int     // brownout ordinal, for cause attribution
 
 	// Windowed telemetry (win == nil when Config.Window is zero; every
-	// hot-path hook then reduces to one nil check). Legacy runs own
-	// their merger; topology cells leave winM nil and the shard runner
+	// hot-path hook then reduces to one nil check). A lone cell shares
+	// the shard runner's merger in winM and flushes it live at each
+	// event; cells of a multi-cell graph leave winM nil and the runner
 	// drains their collectors at the cross-cell watermark.
 	win       *window.Collector
 	winM      *window.Merger
@@ -237,8 +235,8 @@ var simPool = sync.Pool{New: func() any { return new(simulator) }}
 func getSim() *simulator { return simPool.Get().(*simulator) }
 func putSim(s *simulator) {
 	// Drop references owned by the caller so the pool never retains a
-	// registry, recorder, or foreign RNG across runs. ownRand stays: the
-	// simulator owns it and reseeds it in place.
+	// registry or recorder across runs. ownRand stays: the simulator owns
+	// it and reseeds it in place.
 	s.c = Config{}
 	s.rec = nil
 	s.tr = nil
@@ -298,7 +296,7 @@ func resizeSudcs(sudcs []sudcState, n int) []sudcState {
 
 // resetCommon prepares everything that does not depend on the layout:
 // derived constants, the RNG, the worker array, counters, and arenas.
-func (s *simulator) resetCommon(c Config, src *rand.Rand, workers int) {
+func (s *simulator) resetCommon(c Config, workers int) {
 	s.c = c
 	s.horizon = c.Duration.Seconds()
 	s.framePeriod = 60 / c.Constellation.FramesPerMinute
@@ -335,7 +333,12 @@ func (s *simulator) resetCommon(c Config, src *rand.Rand, workers int) {
 	}
 	s.batchTimeout = c.BatchTimeout.Seconds()
 
-	s.rng.reset(src)
+	if s.ownRand == nil {
+		s.ownRand = rand.New(rand.NewSource(c.Seed))
+	} else {
+		s.ownRand.Seed(c.Seed)
+	}
+	s.rng.reset(s.ownRand)
 
 	// Recycle batch slices still attached to the previous run's workers
 	// before the worker slice is reused.
@@ -398,8 +401,6 @@ func (s *simulator) resetCommon(c Config, src *rand.Rand, workers int) {
 	s.downLinks = 0
 	s.placeBase = 0
 
-	s.mergeLat = false
-
 	s.rec = nil
 	for i := range s.evCount {
 		s.evCount[i] = 0
@@ -455,62 +456,6 @@ func (s *simulator) seedEvents(sched faults.Schedule) {
 		for i := 1; i < len(s.deg.Phases); i++ {
 			s.push(event{at: s.deg.Phases[i].Start, kind: evPhase, who: i})
 		}
-	}
-}
-
-// reset prepares the pooled simulator for one legacy (implicit-star)
-// run, reusing every backing array that is already large enough. The
-// star compiles to one source group feeding SµDC 0 over link 0 with
-// zero propagation delay — the exact pre-topology shape.
-func (s *simulator) reset(c Config, sched faults.Schedule, deg *degrade.Schedule, src *rand.Rand) {
-	s.resetCommon(c, src, c.Workers)
-	s.topoMode = false
-	s.setDegrade(deg)
-
-	s.need = c.NeedWorkers
-	if s.need == 0 {
-		s.need = c.Workers
-	}
-	s.totalSats = c.Constellation.Satellites
-	s.setPlacement(c.Placement, 1)
-	if c.Window > 0 {
-		w := c.Window.Seconds()
-		s.win = window.NewCollector(w, 0)
-		s.winM = window.NewMerger(w, c.OnWindow)
-	}
-
-	s.links = resizeLinks(s.links, 1)
-	l := &s.links[0]
-	l.sendTime = s.frameBits / float64(c.ISLRate)
-	l.dest = ^0
-	l.name = "sats-sudc"
-
-	s.sudcs = resizeSudcs(s.sudcs, 1)
-	s.sudcs[0].w0, s.sudcs[0].nw = 0, c.Workers
-
-	if cap(s.sources) >= 1 {
-		s.sources = s.sources[:1]
-	} else {
-		s.sources = make([]sourceState, 1)
-	}
-	s.sources[0] = sourceState{sats: c.Constellation.Satellites, edge: 0}
-	s.satEdge = resizeInts(s.satEdge, c.Constellation.Satellites)
-	s.workerSudc = resizeInts(s.workerSudc, c.Workers)
-	for i := range s.workerSudc {
-		s.workerSudc[i] = 0
-	}
-
-	s.q.grow(c.Constellation.Satellites + 4*c.Workers +
-		len(sched.Deaths) + len(sched.Hangs) + len(sched.Outages) + s.degPhases() + 64)
-	s.fq.grow(c.Constellation.Satellites)
-	s.sizeLatencies(c.Constellation.Satellites)
-
-	if c.Obs != nil {
-		s.rec = newRecorder(c.Obs, c.SampleEvery, s)
-	}
-	s.seedEvents(sched)
-	if s.deg != nil {
-		s.applyPhase(0)
 	}
 }
 
@@ -634,9 +579,9 @@ func (s *simulator) accrue(t float64) {
 	s.lastT = t
 	if s.win != nil {
 		// The environment has been constant since the previous event, so
-		// the span [lastT, t) integrates exactly. Legacy runs fold and
-		// flush closed windows immediately — a single cell's watermark is
-		// its own clock; topology cells hold fragments for the shard
+		// the span [lastT, t) integrates exactly. A lone cell folds and
+		// flushes closed windows immediately — its watermark is its own
+		// clock; cells of a multi-cell graph hold fragments for the shard
 		// runner's cross-cell watermark.
 		if s.win.Advance(t, s.winEnv()) > 0 && s.winM != nil {
 			for _, f := range s.win.Drain() {
@@ -673,17 +618,6 @@ func (s *simulator) closeWindows(m *window.Merger) {
 	for _, f := range s.win.Drain() {
 		m.Add(f)
 	}
-}
-
-// closeRunWindows seals a legacy run's own merger and returns the
-// completed windows (nil when windowing is off).
-func (s *simulator) closeRunWindows() []window.Window {
-	if s.winM == nil {
-		return nil
-	}
-	s.closeWindows(s.winM)
-	s.winM.Flush(math.Inf(1))
-	return s.winM.Windows()
 }
 
 func (s *simulator) recount() {
@@ -1099,8 +1033,8 @@ func (s *simulator) apply(e event) {
 			s.attemptISL(l.dest)
 		default:
 			// Arrival at the SµDC. This operation order (enqueue, next
-			// transfer, dispatch) is the legacy event order — do not
-			// reorder, the goldens pin it.
+			// transfer, dispatch) is pinned by the goldens — do not
+			// reorder.
 			si := ^l.dest
 			s.addToInput(si, f)
 			s.attemptISL(ei)

@@ -107,6 +107,30 @@ func TestWindowStreamReconcilesWithStats(t *testing.T) {
 	}
 }
 
+func TestSingleCellWindowsStayLive(t *testing.T) {
+	// A one-cell run delivers each window as the simulation crosses it,
+	// not buffered until the end: the first callback must see a
+	// recording that is still growing.
+	c := windowConfig()
+	rec := trace.New(0)
+	c.Trace = rec
+	first := -1
+	c.OnWindow = func(window.Window) {
+		if first < 0 {
+			first = rec.TotalLen()
+		}
+	}
+	if _, err := Run(c); err != nil {
+		t.Fatal(err)
+	}
+	if first < 0 {
+		t.Fatal("windowed run produced no windows")
+	}
+	if final := rec.TotalLen(); first >= final {
+		t.Errorf("first window delivered with %d of %d trace events recorded, want it mid-run", first, final)
+	}
+}
+
 func TestWindowsFromTraceMatchesNative(t *testing.T) {
 	c := windowConfig()
 	rec := trace.New(0)
