@@ -59,11 +59,14 @@ func TestTraceLifecycleCountsMatchStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[trace.Kind]int{}
-	perFrameComputeEnd := 0
+	perFrameComputeEnd, stranded := 0, 0
 	for _, e := range rec.Events() {
 		counts[e.Kind]++
 		if e.Kind == trace.ComputeEnd && e.Frame != 0 {
 			perFrameComputeEnd++
+		}
+		if e.Kind == trace.Enqueued && e.Cause != "" {
+			stranded++
 		}
 	}
 	if counts[trace.FrameCaptured] != s.FramesGenerated {
@@ -83,6 +86,9 @@ func TestTraceLifecycleCountsMatchStats(t *testing.T) {
 	}
 	if counts[trace.Retry] != s.FramesRetried {
 		t.Errorf("retry events %d, stats retried %d", counts[trace.Retry], s.FramesRetried)
+	}
+	if stranded != s.FramesRedispatched {
+		t.Errorf("re-enqueued events %d, stats redispatched %d", stranded, s.FramesRedispatched)
 	}
 	if counts[trace.OutageStart] == 0 || counts[trace.NodeDeath] == 0 || counts[trace.SEFIStart] == 0 {
 		t.Errorf("fault-heavy run missing fault events: %v", counts)
