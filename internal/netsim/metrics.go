@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"sudc/internal/obs"
+	"sudc/internal/obs/window"
 	"sudc/internal/placement"
 )
 
@@ -11,11 +12,10 @@ import (
 // observability time series when Config.SampleEvery is zero.
 const DefaultSampleEvery = time.Minute
 
-// Histogram bucket bounds, in seconds.
-var (
-	latencyBuckets = []float64{1, 2, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
-	backoffBuckets = []float64{0.001, 0.01, 0.1, 0.5, 1, 2, 5, 10, 30, 60, 120}
-)
+// backoffBuckets are the retry-backoff histogram bounds, in seconds. The
+// latency histogram shares window.LatencyBounds, so windowed quantiles
+// agree with the snapshot.
+var backoffBuckets = []float64{0.001, 0.01, 0.1, 0.5, 1, 2, 5, 10, 30, 60, 120}
 
 // eventNames maps event kinds to observability counter names.
 var eventNames = [...]string{
@@ -38,20 +38,6 @@ var eventNames = [...]string{
 	evCloudArrive:  "events/cloud_arrive",
 	evEdgeDone:     "events/edge_done",
 	evCloudDone:    "events/cloud_done",
-}
-
-// sampleState is the simulator state visible to the series sampler at
-// one simulated instant.
-type sampleState struct {
-	t            float64 // simulated seconds
-	inputQueue   int     // frames waiting for a batch slot
-	backlog      int     // frames in flight anywhere in the pipeline
-	effective    int     // workers neither dead, hung, nor browned
-	availability float64 // availability integral over [0, t]
-	retried      int     // cumulative failed-and-retried ISL attempts
-	shed         int     // cumulative load-shed frames
-	rateMult     float64 // active service-rate multiplier
-	powered      int     // workers not parked by a brownout
 }
 
 // recorder writes one run's observability stream: per-event counters,
@@ -84,6 +70,9 @@ type recorder struct {
 	latency *obs.Histogram
 	backoff *obs.Histogram
 
+	// events counts applied events per kind.
+	events [len(eventNames)]int64
+
 	// Registered only for degraded runs, so degradation-free snapshots
 	// stay byte-identical to the pre-degradation exports.
 	rateMult *obs.Series
@@ -111,7 +100,7 @@ func newRecorder(reg *obs.Registry, every time.Duration, sim *simulator) *record
 		avail:      reg.Series("availability"),
 		retried:    reg.Series("retries"),
 		shed:       reg.Series("shed"),
-		latency:    reg.Histogram("latency_s", latencyBuckets...),
+		latency:    reg.Histogram("latency_s", window.LatencyBounds[:]...),
 		backoff:    reg.Histogram("retry/backoff_s", backoffBuckets...),
 	}
 	r.islDepth = make([]*obs.Series, len(sim.links))
@@ -128,33 +117,51 @@ func newRecorder(reg *obs.Registry, every time.Duration, sim *simulator) *record
 	return r
 }
 
-func (r *recorder) record(s sampleState) {
-	r.queueDepth.Sample(s.t, float64(s.inputQueue))
-	for i, ser := range r.islDepth {
-		l := &r.sim.links[i]
-		ser.Sample(s.t, float64(l.queue.len()+l.flight.len()))
+// record samples every series at grid point t, reading the simulator
+// state valid since the previously applied event: the availability
+// integral runs over [0, t], and the backlog counts frames in flight
+// anywhere in the cell's pipeline.
+func (r *recorder) record(t float64) {
+	s := r.sim
+	input := 0
+	for i := range s.sudcs {
+		input += s.sudcs[i].input.len()
 	}
-	r.backlog.Sample(s.t, float64(s.backlog))
-	r.effective.Sample(s.t, float64(s.effective))
-	r.avail.Sample(s.t, s.availability)
-	r.retried.Sample(s.t, float64(s.retried-r.prevRetried))
-	r.prevRetried = s.retried
-	r.shed.Sample(s.t, float64(s.shed-r.prevShed))
-	r.prevShed = s.shed
+	r.queueDepth.Sample(t, float64(input))
+	for i, ser := range r.islDepth {
+		l := &s.links[i]
+		ser.Sample(t, float64(l.queue.len()+l.flight.len()))
+	}
+	st := &s.stats
+	r.backlog.Sample(t, float64(st.FramesGenerated+s.crossRecv-s.crossSent-
+		st.FramesProcessed-st.FramesShed-st.FramesLost))
+	r.effective.Sample(t, float64(s.effective))
+	up := s.upTime
+	if s.effective >= s.need && t > s.lastT {
+		up += t - s.lastT
+	}
+	avail := 1.0
+	if t > 0 {
+		avail = up / t
+	}
+	r.avail.Sample(t, avail)
+	r.retried.Sample(t, float64(st.FramesRetried-r.prevRetried))
+	r.prevRetried = st.FramesRetried
+	r.shed.Sample(t, float64(st.FramesShed-r.prevShed))
+	r.prevShed = st.FramesShed
 	if r.rateMult != nil {
-		r.rateMult.Sample(s.t, s.rateMult)
-		r.powered.Sample(s.t, float64(s.powered))
+		r.rateMult.Sample(t, s.rateMult)
+		r.powered.Sample(t, float64(s.totalWorkers-s.browned))
 	}
 	if r.dlDepth != nil {
-		r.dlDepth.Sample(s.t, float64(r.sim.dlQueue.len()))
+		r.dlDepth.Sample(t, float64(s.dlQueue.len()))
 	}
 }
 
-// catchUp samples every grid point strictly before simulated time t,
-// using the simulator state valid since the previously applied event.
+// catchUp samples every grid point strictly before simulated time t.
 func (r *recorder) catchUp(t float64) {
 	for r.next < t {
-		r.record(r.sim.sampleState(r.next))
+		r.record(r.next)
 		r.next += r.period
 	}
 }
@@ -162,13 +169,13 @@ func (r *recorder) catchUp(t float64) {
 // finish samples the remaining grid points through the horizon.
 func (r *recorder) finish(horizon float64) {
 	for r.next <= horizon {
-		r.record(r.sim.sampleState(r.next))
+		r.record(r.next)
 		r.next += r.period
 	}
 }
 
 // flush writes the run's end-of-run counters and gauges.
-func (r *recorder) flush(reg *obs.Registry, s Stats, evCount []int64) {
+func (r *recorder) flush(reg *obs.Registry, s Stats) {
 	reg.Counter("frames/generated").Add(int64(s.FramesGenerated))
 	reg.Counter("frames/processed").Add(int64(s.FramesProcessed))
 	reg.Counter("frames/insights").Add(int64(s.InsightsDownlinked))
@@ -176,7 +183,7 @@ func (r *recorder) flush(reg *obs.Registry, s Stats, evCount []int64) {
 	reg.Counter("frames/redispatched").Add(int64(s.FramesRedispatched))
 	reg.Counter("frames/shed").Add(int64(s.FramesShed))
 	reg.Counter("frames/lost").Add(int64(s.FramesLost))
-	for kind, n := range evCount {
+	for kind, n := range r.events {
 		if n > 0 {
 			reg.Counter(eventNames[kind]).Add(n)
 		}

@@ -20,6 +20,7 @@ package netsim
 // fields and the "placed" trace lines.
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -45,13 +46,13 @@ func (s *simulator) setPlacement(pc *placement.Config, cells int) {
 	s.dlSendTime = s.frameBits / pc.Ratio() / (float64(pc.DownlinkRate) / float64(cells))
 	s.accessDelay = pc.AccessDelay.Seconds()
 	s.wanDelay = pc.WANDelay.Seconds()
-	s.onboardSvc = pc.Model.Tiers[placement.TierOnboard].ServiceTime
-	s.edgeSvc = pc.Model.Tiers[placement.TierGroundEdge].ServiceTime
-	s.cloudSvc = pc.Model.Tiers[placement.TierCloud].ServiceTime
 	// One flight computer per satellite; the cell's onboard capacity is
 	// its satellite population (the pool approximation: any satellite's
 	// computer can serve, which upper-bounds the per-satellite truth).
-	s.onboardServers = s.totalSats
+	// The elastic cloud never queues.
+	s.tierServers[placement.TierOnboard] = s.totalSats
+	s.tierServers[placement.TierGroundEdge] = pc.EdgeServers
+	s.tierServers[placement.TierCloud] = math.MaxInt
 	// The zero-queue base tier: where the policy sends a frame when no
 	// queue pressures it elsewhere. Decide draws no RNG, so probing it
 	// here leaves the run's stream untouched; a routing that deviates
@@ -77,32 +78,45 @@ func (s *simulator) route(f frame, sat int) {
 	switch d.Tier {
 	case placement.TierSpace:
 		// The SµDC pipeline, frame tagged: ISL queue, batcher, workers.
-		ei := s.satEdge[sat]
-		s.links[ei].queue.pushBack(f)
-		s.attemptISL(ei)
+		s.deliver(s.satEdge[sat], f)
 	case placement.TierOnboard:
-		if s.onboardBusy < s.onboardServers {
-			s.onboardBusy++
-			s.startPlaced(&s.onboardRun, f, evOnboardDone, s.onboardSvc)
-		} else {
-			s.onboardQ.pushBack(f)
-		}
+		s.serve(placement.TierOnboard, f)
 	default: // ground-bound: the shared downlink first
 		s.dlQueue.pushBack(f)
 		s.attemptDownlink()
 	}
 }
 
-// startPlaced begins constant-time service for a placed frame: it
-// joins the tier's FIFO serving deque and its completion event fires
-// svc seconds later. Dispatched is recorded with Node -1 — tier
-// servers are not SµDC workers.
-func (s *simulator) startPlaced(run *frameDeque, f frame, kind int, svc float64) {
-	run.pushBack(f)
+// tierDone is each server tier's completion event kind.
+var tierDone = [placement.NumTiers]int{
+	placement.TierOnboard:    evOnboardDone,
+	placement.TierGroundEdge: evEdgeDone,
+	placement.TierCloud:      evCloudDone,
+}
+
+// serve starts constant-time service for frame f on tier t if one of
+// its servers is free, else queues it. A started frame joins the tier's
+// FIFO serving deque and completes one service time later. Dispatched
+// is recorded with Node -1 — tier servers are not SµDC workers.
+func (s *simulator) serve(t placement.Tier, f frame) {
+	if s.tierRun[t].len() >= s.tierServers[t] {
+		s.tierQ[t].pushBack(f)
+		return
+	}
+	s.tierRun[t].pushBack(f)
 	if s.tr != nil {
 		s.tr.Record(trace.Event{T: s.now, Kind: trace.Dispatched, Frame: f.id, Node: -1})
 	}
-	s.push(event{at: s.now + svc, kind: kind})
+	s.push(event{at: s.now + s.pmodel.Tiers[t].ServiceTime, kind: tierDone[t], who: int(t)})
+}
+
+// served completes tier t's oldest in-service frame and starts the
+// next queued one on the freed server.
+func (s *simulator) served(t placement.Tier) {
+	s.complete(s.tierRun[t].popFront(), -1)
+	if s.tierQ[t].len() > 0 {
+		s.serve(t, s.tierQ[t].popFront())
+	}
 }
 
 // attemptDownlink starts the shared downlink's head-frame transmission.
@@ -145,31 +159,6 @@ func (s *simulator) downlinkDone() {
 	s.attemptDownlink()
 }
 
-// completePlaced finishes a frame computed off the SµDC path: latency,
-// per-tier accounting, and the analyzer's insight decision replayed
-// from the value drawn at capture.
-func (s *simulator) completePlaced(f frame) {
-	lat := s.now - f.born
-	s.stats.FramesProcessed++
-	s.win.Count(window.CntProcessed, 1)
-	s.latencies = append(s.latencies, lat)
-	s.win.Latency(lat)
-	if s.rec != nil {
-		s.rec.latency.Observe(lat)
-	}
-	if s.tr != nil {
-		s.tr.Record(trace.Event{T: s.now, Kind: trace.ComputeEnd, Frame: f.id, Node: -1})
-	}
-	s.accountTier(placement.Tier(f.tier), lat)
-	if f.value >= 1-s.c.InsightFraction {
-		s.stats.InsightsDownlinked++
-		s.win.Count(window.CntInsights, 1)
-		if s.tr != nil {
-			s.tr.Record(trace.Event{T: s.now, Kind: trace.Downlinked, Frame: f.id, Node: -1})
-		}
-	}
-}
-
 // accountTier records one completed frame's tier outcome. The realized
 // per-frame cost is the tier's amortized dollars plus the
 // latency-weighted end-to-end latency — which is what makes the Oracle
@@ -187,10 +176,18 @@ func (s *simulator) accountTier(t placement.Tier, lat float64) {
 
 // finishPlacement assembles the per-tier Stats at the end of a run.
 func (s *simulator) finishPlacement(stats *Stats) {
-	for t := range s.tierLats {
-		stats.TierFrames[t] = s.tierFrames[t]
-		stats.TierDollars[t] = s.tierDollars[t]
-		v := s.tierLats[t]
+	stats.TierFrames = s.tierFrames
+	stats.TierDollars = s.tierDollars
+	summarizeTiers(stats, &s.tierLats, s.placeCostSum)
+	stats.OracleMeanCost = s.pmodel.OracleCost()
+}
+
+// summarizeTiers fills the per-tier latency mean and p99 from each
+// tier's latency samples — sorted in place, then summed in sorted
+// order — and the realized mean per-frame cost from its sum over
+// stats.FramesProcessed frames.
+func summarizeTiers(stats *Stats, lats *[placement.NumTiers][]float64, costSum float64) {
+	for t, v := range lats {
 		if len(v) == 0 {
 			continue
 		}
@@ -203,7 +200,6 @@ func (s *simulator) finishPlacement(stats *Stats) {
 		stats.TierP99Latency[t] = time.Duration(latency.Quantile(v, 0.99) * float64(time.Second))
 	}
 	if stats.FramesProcessed > 0 {
-		stats.PlacedMeanCost = s.placeCostSum / float64(stats.FramesProcessed)
+		stats.PlacedMeanCost = costSum / float64(stats.FramesProcessed)
 	}
-	stats.OracleMeanCost = s.pmodel.OracleCost()
 }

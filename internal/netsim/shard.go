@@ -23,9 +23,9 @@ package netsim
 // global event order, nothing cell j ever does happens before T_j, so
 // no message can reach cell i before limit_i: i safely processes every
 // event with at < limit_i this round. A cell whose limit reaches the
-// horizon runs to it inclusively (the `at > horizon` stop of
-// simulator.step); a cell with no incoming cross-cell edges has limit_i = +Inf
-// and finishes in its first round. The fixpoint is never more
+// horizon runs to it inclusively (runUntil's final round, which stops
+// only at at > horizon); a cell with no incoming cross-cell edges has
+// limit_i = +Inf and finishes in its first round. The fixpoint is never more
 // conservative than the old global tmin + min-cross-delay window, and
 // on graphs with heterogeneous delays (short FSO hops, long ring ISLs)
 // cells run far ahead of the old window, collapsing the round count.
@@ -56,7 +56,6 @@ import (
 
 	"sudc/internal/degrade"
 	"sudc/internal/faults"
-	"sudc/internal/obs/latency"
 	"sudc/internal/obs/window"
 	"sudc/internal/par"
 	"sudc/internal/placement"
@@ -610,22 +609,7 @@ func (r *shardRunner) finish() Stats {
 		out.P95Latency = time.Duration(p95 * float64(time.Second))
 	}
 	if r.c.Placement != nil {
-		for t := range r.tierLat {
-			v := r.tierLat[t]
-			if len(v) == 0 {
-				continue
-			}
-			sort.Float64s(v)
-			var sum float64
-			for _, l := range v {
-				sum += l
-			}
-			out.TierMeanLatency[t] = time.Duration(sum / float64(len(v)) * float64(time.Second))
-			out.TierP99Latency[t] = time.Duration(latency.Quantile(v, 0.99) * float64(time.Second))
-		}
-		if out.FramesProcessed > 0 {
-			out.PlacedMeanCost = r.placeCost / float64(out.FramesProcessed)
-		}
+		summarizeTiers(&out, &r.tierLat, r.placeCost)
 	}
 	out.KeptUp = out.Backlog <= 2*r.c.BatchSize*totalWorkers
 	out.Sync = r.syncStats

@@ -101,8 +101,15 @@ type shardMsg struct {
 // simulator is one run's (or one shard cell's) entire state. The state
 // lives in a struct rather than closure-captured locals so the loop
 // body is allocation-free and a sync.Pool can recycle every backing
-// array across runs; tests use the stepping API to pin the
-// zero-allocation steady state with testing.AllocsPerRun.
+// array across runs; tests drive runUntil to pin the zero-allocation
+// steady state with testing.AllocsPerRun.
+//
+// Each lifecycle point has one method that updates Stats and fans out
+// to every enabled sink — the obs recorder (rec), the flight recorder
+// (tr), and the window collector (win) — each behind one nil check:
+// advance (clock, occupancy, sampler, event counts), deliver (ISL
+// enqueue or SµDC arrival), complete (a computed frame), strand (a
+// batch returned for re-dispatch), and serve/served (placement tiers).
 type simulator struct {
 	// Derived per-run constants.
 	c            Config
@@ -158,10 +165,8 @@ type simulator struct {
 	latencies    []float64
 	now          float64
 
-	rec     *recorder
-	evCount [len(eventNames)]int64
-
-	tr *trace.Recorder
+	rec *recorder
+	tr  *trace.Recorder
 	// mergeLat marks a multi-cell run: the shard runner recomputes the
 	// latency distribution over the merged samples, so finish() skips
 	// the per-cell sort (the Mean/P95 of one cell are never published).
@@ -174,34 +179,26 @@ type simulator struct {
 
 	// Placement engine (place == nil when the run has no placement;
 	// every hot-path hook then reduces to one nil check). All service
-	// times per tier are constants, so each tier's in-service frames
-	// complete in dispatch order and a single FIFO deque per tier
-	// suffices — no per-server state.
-	place          *placement.Config
-	pmodel         placement.Model
-	queueLen       [placement.NumTiers]int // frames waiting or in service per tier
-	onboardQ       frameDeque              // frames waiting for a flight computer
-	onboardRun     frameDeque              // frames in flight-computer service, FIFO
-	onboardBusy    int
-	onboardServers int        // the cell's satellite count: one flight computer each
-	dlQueue        frameDeque // ground-bound frames waiting for (or crossing) the downlink
-	dlSending      bool
-	edgeWait       frameDeque // downlinked frames in access+propagation to the edge
-	cloudWait      frameDeque // downlinked frames in access+WAN to the cloud
-	edgeQ          frameDeque // frames waiting for an edge server
-	edgeRun        frameDeque // frames in edge service, FIFO
-	edgeBusy       int
-	cloudRun       frameDeque // frames in (elastic) cloud service, FIFO
-	dlSendTime     float64    // per-frame downlink transmission time, s
-	accessDelay    float64    // mean wait for a usable ground pass, s
-	wanDelay       float64    // ground-station-to-cloud backhaul, s
-	onboardSvc     float64    // per-tier unloaded service times, s
-	edgeSvc        float64
-	cloudSvc       float64
-	tierLats       [placement.NumTiers][]float64
-	tierFrames     [placement.NumTiers]int
-	tierDollars    [placement.NumTiers]float64
-	placeCostSum   float64 // Σ realized per-frame cost over completed frames
+	// times per tier are constants, so each server tier's in-service
+	// frames complete in dispatch order and a single FIFO deque per tier
+	// suffices — no per-server state; its length is the busy count.
+	place        *placement.Config
+	pmodel       placement.Model
+	queueLen     [placement.NumTiers]int        // frames waiting or in service per tier
+	tierQ        [placement.NumTiers]frameDeque // frames waiting for a tier server
+	tierRun      [placement.NumTiers]frameDeque // frames in tier service, FIFO
+	tierServers  [placement.NumTiers]int        // server pool sizes (cloud: unbounded)
+	dlQueue      frameDeque                     // ground-bound frames waiting for (or crossing) the downlink
+	dlSending    bool
+	edgeWait     frameDeque // downlinked frames in access+propagation to the edge
+	cloudWait    frameDeque // downlinked frames in access+WAN to the cloud
+	dlSendTime   float64    // per-frame downlink transmission time, s
+	accessDelay  float64    // mean wait for a usable ground pass, s
+	wanDelay     float64    // ground-station-to-cloud backhaul, s
+	tierLats     [placement.NumTiers][]float64
+	tierFrames   [placement.NumTiers]int
+	tierDollars  [placement.NumTiers]float64
+	placeCostSum float64 // Σ realized per-frame cost over completed frames
 
 	// Degradation replay (deg == nil when the run is degradation-free;
 	// every hot-path hook below then reduces to one nil/false check).
@@ -372,20 +369,16 @@ func (s *simulator) resetCommon(c Config, workers int) {
 
 	s.place = nil
 	s.queueLen = [placement.NumTiers]int{}
-	s.onboardQ.reset()
-	s.onboardRun.reset()
-	s.onboardBusy, s.onboardServers = 0, 0
+	for i := range s.tierLats {
+		s.tierQ[i].reset()
+		s.tierRun[i].reset()
+		s.tierLats[i] = s.tierLats[i][:0]
+	}
+	s.tierServers = [placement.NumTiers]int{}
 	s.dlQueue.reset()
 	s.dlSending = false
 	s.edgeWait.reset()
 	s.cloudWait.reset()
-	s.edgeQ.reset()
-	s.edgeRun.reset()
-	s.edgeBusy = 0
-	s.cloudRun.reset()
-	for i := range s.tierLats {
-		s.tierLats[i] = s.tierLats[i][:0]
-	}
 	s.tierFrames = [placement.NumTiers]int{}
 	s.tierDollars = [placement.NumTiers]float64{}
 	s.placeCostSum = 0
@@ -402,9 +395,6 @@ func (s *simulator) resetCommon(c Config, workers int) {
 	s.placeBase = 0
 
 	s.rec = nil
-	for i := range s.evCount {
-		s.evCount[i] = 0
-	}
 
 	// Frame-lineage flight recording. tr stays nil when tracing is off,
 	// so the hot loop pays one nil check per lifecycle point. Frame IDs
@@ -556,8 +546,25 @@ func (s *simulator) putBatch(b []frame) {
 	s.freeBatches = append(s.freeBatches, b[:0])
 }
 
-// accrue integrates the availability accumulators up to time t.
+// advance moves the clock to the time t of the next event of the given
+// kind — the shared head of apply and applyFrame: every time integral
+// accrues up to t, and the recorder counts the event.
+func (s *simulator) advance(t float64, kind int) {
+	s.now = t
+	s.accrue(t)
+	if s.rec != nil {
+		s.rec.events[kind]++
+	}
+}
+
+// accrue brings every time integral up to t. The series sampler first
+// catches up on the grid points before t, reading the state valid
+// since the previous event; then availability, occupancy, and windows
+// integrate over the constant span [lastT, t).
 func (s *simulator) accrue(t float64) {
+	if s.rec != nil {
+		s.rec.catchUp(t)
+	}
 	if dt := t - s.lastT; dt > 0 {
 		if s.effective >= s.need {
 			s.upTime += dt
@@ -626,36 +633,6 @@ func (s *simulator) recount() {
 		if !s.workers[i].dead && !s.workers[i].hung && !s.workers[i].browned {
 			s.effective++
 		}
-	}
-}
-
-// sampleState is the simulator state visible to the series sampler at
-// simulated instant t. Per-edge queue depths are read off s.links
-// directly by the recorder.
-func (s *simulator) sampleState(t float64) sampleState {
-	up := s.upTime
-	if s.effective >= s.need && t > s.lastT {
-		up += t - s.lastT
-	}
-	avail := 1.0
-	if t > 0 {
-		avail = up / t
-	}
-	input := 0
-	for i := range s.sudcs {
-		input += s.sudcs[i].input.len()
-	}
-	return sampleState{
-		t:          t,
-		inputQueue: input,
-		backlog: s.stats.FramesGenerated + s.crossRecv - s.crossSent -
-			s.stats.FramesProcessed - s.stats.FramesShed - s.stats.FramesLost,
-		effective:    s.effective,
-		availability: avail,
-		retried:      s.stats.FramesRetried,
-		shed:         s.stats.FramesShed,
-		rateMult:     s.rateMult,
-		powered:      s.totalWorkers - s.browned,
 	}
 }
 
@@ -815,6 +792,77 @@ func (s *simulator) dispatch(si int, force bool) {
 	}
 }
 
+// deliver hands frame f to its continuation target: the queue of ISL
+// edge target, or the batcher of SµDC ^target.
+func (s *simulator) deliver(target int, f frame) {
+	if target >= 0 {
+		s.links[target].queue.pushBack(f)
+		s.attemptISL(target)
+		return
+	}
+	si := ^target
+	s.addToInput(si, f)
+	s.dispatch(si, false)
+}
+
+// strand returns worker w's in-flight batch, if it has one, to the head
+// of SµDC si's input queue for re-dispatch — on a node death or when a
+// brownout parks the worker. cause labels the re-enqueued trace events;
+// callers format it only when tracing is on.
+func (s *simulator) strand(w *workerState, si int, cause string) {
+	if !w.busy {
+		return
+	}
+	w.busy = false
+	w.gen++
+	s.busySum -= w.doneAt - s.now
+	s.stats.FramesRedispatched += len(w.batch)
+	s.win.Count(window.CntRedispatched, int64(len(w.batch)))
+	if s.tr != nil {
+		for _, f := range w.batch {
+			s.tr.Record(trace.Event{T: s.now, Kind: trace.Enqueued,
+				Frame: f.id, Node: -1, Cause: cause})
+		}
+	}
+	in := &s.sudcs[si].input
+	for i := len(w.batch) - 1; i >= 0; i-- {
+		in.pushFront(w.batch[i])
+	}
+	if in.len() > s.stats.MaxInputQueue {
+		s.stats.MaxInputQueue = in.len()
+	}
+	s.putBatch(w.batch)
+	w.batch = nil
+}
+
+// complete finishes one computed frame on worker node, or on a
+// placement tier server (node -1): latency, per-tier accounting, and
+// the analyzer's insight decision replayed from the value drawn at
+// capture.
+func (s *simulator) complete(f frame, node int) {
+	lat := s.now - f.born
+	s.stats.FramesProcessed++
+	s.win.Count(window.CntProcessed, 1)
+	s.latencies = append(s.latencies, lat)
+	s.win.Latency(lat)
+	if s.rec != nil {
+		s.rec.latency.Observe(lat)
+	}
+	if s.tr != nil {
+		s.tr.Record(trace.Event{T: s.now, Kind: trace.ComputeEnd, Frame: f.id, Node: node})
+	}
+	if s.place != nil {
+		s.accountTier(placement.Tier(f.tier), lat)
+	}
+	if f.value >= 1-s.c.InsightFraction {
+		s.stats.InsightsDownlinked++
+		s.win.Count(window.CntInsights, 1)
+		if s.tr != nil {
+			s.tr.Record(trace.Event{T: s.now, Kind: trace.Downlinked, Frame: f.id, Node: node})
+		}
+	}
+}
+
 // applyPhase activates degradation phase pi: the service-rate
 // multiplier switches, and the phase's power budget parks the
 // highest-index workers of every SµDC beyond its powered complement.
@@ -855,34 +903,10 @@ func (s *simulator) applyPhase(pi int) {
 		for i := d.w0 + powered; i < d.w0+d.nw; i++ {
 			w := &s.workers[i]
 			s.browned++
-			if w.browned {
-				continue
+			if !w.browned {
+				w.browned = true
+				s.strand(w, si, cause)
 			}
-			w.browned = true
-			if !w.busy {
-				continue
-			}
-			// Strand the in-flight batch, as evWorkerDeath does.
-			w.busy = false
-			w.gen++
-			s.busySum -= w.doneAt - s.now
-			s.stats.FramesRedispatched += len(w.batch)
-			s.win.Count(window.CntRedispatched, int64(len(w.batch)))
-			if s.tr != nil {
-				for _, f := range w.batch {
-					s.tr.Record(trace.Event{T: s.now, Kind: trace.Enqueued,
-						Frame: f.id, Node: -1, Cause: cause})
-				}
-			}
-			in := &d.input
-			for j := len(w.batch) - 1; j >= 0; j-- {
-				in.pushFront(w.batch[j])
-			}
-			if in.len() > s.stats.MaxInputQueue {
-				s.stats.MaxInputQueue = in.len()
-			}
-			s.putBatch(w.batch)
-			w.batch = nil
 		}
 	}
 	if s.browned > 0 && s.tr != nil {
@@ -895,23 +919,6 @@ func (s *simulator) applyPhase(pi int) {
 	}
 }
 
-// step pops and applies one event. It returns false once both heaps
-// are empty or the next event lies past the horizon — the run is over.
-func (s *simulator) step() bool {
-	if s.frameFirst() {
-		if s.fq.a[0].at > s.horizon {
-			return false
-		}
-		s.applyFrame()
-		return true
-	}
-	if len(s.q.a) == 0 || s.q.a[0].at > s.horizon {
-		return false
-	}
-	s.apply(s.q.pop())
-	return true
-}
-
 // runUntil drains events with at < limit (final windows include the
 // boundary: at ≤ limit), the per-window half of the conservative
 // synchronizer. Non-final windows must exclude the boundary so a
@@ -919,30 +926,24 @@ func (s *simulator) step() bool {
 // injected before any local event at that instant is applied.
 func (s *simulator) runUntil(limit float64, final bool) {
 	for {
-		if s.frameFirst() {
-			at := s.fq.a[0].at
-			if final {
-				if at > limit {
-					return
-				}
-			} else if at >= limit {
-				return
-			}
+		timer := s.frameFirst()
+		var at float64
+		switch {
+		case timer:
+			at = s.fq.a[0].at
+		case len(s.q.a) > 0:
+			at = s.q.a[0].at
+		default:
+			return
+		}
+		if at > limit || at == limit && !final {
+			return
+		}
+		if timer {
 			s.applyFrame()
-			continue
+		} else {
+			s.apply(s.q.pop())
 		}
-		if len(s.q.a) == 0 {
-			return
-		}
-		at := s.q.a[0].at
-		if final {
-			if at > limit {
-				return
-			}
-		} else if at >= limit {
-			return
-		}
-		s.apply(s.q.pop())
 	}
 }
 
@@ -954,12 +955,7 @@ func (s *simulator) runUntil(limit float64, final bool) {
 // numbering is unchanged.
 func (s *simulator) applyFrame() {
 	t := s.fq.a[0]
-	if s.rec != nil {
-		s.rec.catchUp(t.at)
-	}
-	s.now = t.at
-	s.accrue(t.at)
-	s.evCount[evFrameReady]++
+	s.advance(t.at, evFrameReady)
 	s.stats.FramesGenerated++
 	s.win.Count(window.CntGenerated, 1)
 	s.frameID++
@@ -972,9 +968,7 @@ func (s *simulator) applyFrame() {
 			Frame: f.id, Node: t.who})
 	}
 	if s.place == nil {
-		ei := s.satEdge[t.who]
-		s.links[ei].queue.pushBack(f)
-		s.attemptISL(ei)
+		s.deliver(s.satEdge[t.who], f)
 	} else {
 		s.route(f, t.who)
 	}
@@ -986,12 +980,7 @@ func (s *simulator) applyFrame() {
 
 // apply advances the simulation by one event.
 func (s *simulator) apply(e event) {
-	if s.rec != nil {
-		s.rec.catchUp(e.at)
-	}
-	s.now = e.at
-	s.accrue(e.at)
-	s.evCount[e.kind]++
+	s.advance(e.at, e.kind)
 	switch e.kind {
 	case evISLDone:
 		ei := e.who
@@ -1043,15 +1032,7 @@ func (s *simulator) apply(e event) {
 
 	case evArrive:
 		l := &s.links[e.who]
-		f := l.flight.popFront()
-		if l.dest >= 0 {
-			s.links[l.dest].queue.pushBack(f)
-			s.attemptISL(l.dest)
-		} else {
-			si := ^l.dest
-			s.addToInput(si, f)
-			s.dispatch(si, false)
-		}
+		s.deliver(l.dest, l.flight.popFront())
 
 	case evArriveMsg:
 		m := s.arrivals[e.who]
@@ -1061,14 +1042,7 @@ func (s *simulator) apply(e event) {
 		if s.place != nil {
 			s.queueLen[placement.TierSpace]++
 		}
-		if m.target >= 0 {
-			s.links[m.target].queue.pushBack(m.f)
-			s.attemptISL(m.target)
-		} else {
-			si := ^m.target
-			s.addToInput(si, m.f)
-			s.dispatch(si, false)
-		}
+		s.deliver(m.target, m.f)
 
 	case evISLRetry:
 		l := &s.links[e.who]
@@ -1133,31 +1107,11 @@ func (s *simulator) apply(e event) {
 			s.tr.Record(trace.Event{T: s.now, Kind: trace.NodeDeath, Node: e.who})
 		}
 		si := s.workerSudc[e.who]
-		if w.busy {
-			// The batch is stranded: return its frames to the head of the
-			// queue for re-dispatch.
-			w.busy = false
-			w.gen++
-			s.busySum -= w.doneAt - s.now
-			s.stats.FramesRedispatched += len(w.batch)
-			s.win.Count(window.CntRedispatched, int64(len(w.batch)))
-			if s.tr != nil {
-				cause := fmt.Sprintf("node-death#%d", e.who)
-				for _, f := range w.batch {
-					s.tr.Record(trace.Event{T: s.now, Kind: trace.Enqueued,
-						Frame: f.id, Node: -1, Cause: cause})
-				}
-			}
-			in := &s.sudcs[si].input
-			for i := len(w.batch) - 1; i >= 0; i-- {
-				in.pushFront(w.batch[i])
-			}
-			if in.len() > s.stats.MaxInputQueue {
-				s.stats.MaxInputQueue = in.len()
-			}
-			s.putBatch(w.batch)
-			w.batch = nil
+		cause := ""
+		if s.tr != nil && w.busy {
+			cause = fmt.Sprintf("node-death#%d", e.who)
 		}
+		s.strand(w, si, cause)
 		s.recount()
 		s.dispatch(si, false)
 
@@ -1198,33 +1152,12 @@ func (s *simulator) apply(e event) {
 			break // stale: the worker died or the batch slipped
 		}
 		w.busy = false
-		s.stats.FramesProcessed += len(w.batch)
-		s.win.Count(window.CntProcessed, int64(len(w.batch)))
 		if s.tr != nil {
 			s.tr.Record(trace.Event{T: s.now, Kind: trace.ComputeEnd,
 				Node: e.who, N: len(w.batch)})
 		}
 		for _, f := range w.batch {
-			s.latencies = append(s.latencies, s.now-f.born)
-			s.win.Latency(s.now - f.born)
-			if s.rec != nil {
-				s.rec.latency.Observe(s.now - f.born)
-			}
-			if s.tr != nil {
-				s.tr.Record(trace.Event{T: s.now, Kind: trace.ComputeEnd,
-					Frame: f.id, Node: e.who})
-			}
-			if s.place != nil {
-				s.accountTier(placement.Tier(f.tier), s.now-f.born)
-			}
-			if f.value >= 1-s.c.InsightFraction {
-				s.stats.InsightsDownlinked++
-				s.win.Count(window.CntInsights, 1)
-				if s.tr != nil {
-					s.tr.Record(trace.Event{T: s.now, Kind: trace.Downlinked,
-						Frame: f.id, Node: e.who})
-				}
-			}
+			s.complete(f, e.who)
 		}
 		s.putBatch(w.batch)
 		w.batch = nil
@@ -1252,42 +1185,17 @@ func (s *simulator) apply(e event) {
 	case evPhase:
 		s.applyPhase(e.who)
 
-	case evOnboardDone:
-		f := s.onboardRun.popFront()
-		s.onboardBusy--
-		s.completePlaced(f)
-		if s.onboardQ.len() > 0 {
-			s.onboardBusy++
-			s.startPlaced(&s.onboardRun, s.onboardQ.popFront(), evOnboardDone, s.onboardSvc)
-		}
-
 	case evDownlinkDone:
 		s.downlinkDone()
 
 	case evEdgeArrive:
-		f := s.edgeWait.popFront()
-		if s.edgeBusy < s.place.EdgeServers {
-			s.edgeBusy++
-			s.startPlaced(&s.edgeRun, f, evEdgeDone, s.edgeSvc)
-		} else {
-			s.edgeQ.pushBack(f)
-		}
+		s.serve(placement.TierGroundEdge, s.edgeWait.popFront())
 
 	case evCloudArrive:
-		// The elastic cloud never queues: service starts on arrival.
-		s.startPlaced(&s.cloudRun, s.cloudWait.popFront(), evCloudDone, s.cloudSvc)
+		s.serve(placement.TierCloud, s.cloudWait.popFront())
 
-	case evEdgeDone:
-		f := s.edgeRun.popFront()
-		s.edgeBusy--
-		s.completePlaced(f)
-		if s.edgeQ.len() > 0 {
-			s.edgeBusy++
-			s.startPlaced(&s.edgeRun, s.edgeQ.popFront(), evEdgeDone, s.edgeSvc)
-		}
-
-	case evCloudDone:
-		s.completePlaced(s.cloudRun.popFront())
+	case evOnboardDone, evEdgeDone, evCloudDone:
+		s.served(placement.Tier(e.who))
 	}
 }
 
@@ -1339,7 +1247,7 @@ func (s *simulator) finish() Stats {
 		s.finishPlacement(&stats)
 	}
 	if s.rec != nil {
-		s.rec.flush(s.c.Obs, stats, s.evCount[:])
+		s.rec.flush(s.c.Obs, stats)
 	}
 	return stats
 }
