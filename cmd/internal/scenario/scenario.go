@@ -176,6 +176,12 @@ func (f *Flags) Build() (*Scenario, error) {
 	if f.Spares < 0 {
 		return nil, fmt.Errorf("negative spares %d", f.Spares)
 	}
+	if f.Throttle < 0 {
+		return nil, fmt.Errorf("negative throttle severity %v", f.Throttle)
+	}
+	if f.DownlinkGbps < 0 {
+		return nil, fmt.Errorf("negative downlink rate %v Gbit/s", f.DownlinkGbps)
+	}
 	sized := max(int(f.PowerKW*1000/float64(app.GPUPower)), 1)
 	sc := &Scenario{App: app, Workers: sized + f.Spares}
 
@@ -189,13 +195,13 @@ func (f *Flags) Build() (*Scenario, error) {
 			return nil, err
 		}
 		*cfg = netsim.TopologyConfig(app, g)
-		cfg.Shards = f.Shards
 	} else {
 		*cfg = netsim.DefaultConfig(app)
 		cfg.Constellation.Satellites = f.Satellites
 		cfg.Workers = sc.Workers
 		cfg.NeedWorkers = sized
 	}
+	cfg.Shards = f.Shards
 	cfg.Constellation.FilterRate = f.Filter
 	cfg.ISLRate = units.GbpsOf(f.ISLGbps)
 	cfg.BatchSize = f.Batch

@@ -126,6 +126,9 @@ func TestBadInputs(t *testing.T) {
 	if err := run([]string{"-spares", "-1"}, &b); err == nil {
 		t.Error("negative spares must error")
 	}
+	if err := run([]string{"-shards", "-1"}, &b); err == nil {
+		t.Error("negative shard count must error")
+	}
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.jsonl")
 	if err := os.WriteFile(bad, []byte("{\"t\":1,\"k\":\"warp_drive\",\"n\":-1}\n"), 0o644); err != nil {

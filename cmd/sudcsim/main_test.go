@@ -219,6 +219,25 @@ func TestCalibrationFlag(t *testing.T) {
 	if err := run([]string{"-throttle", "2"}, &b); err == nil {
 		t.Error("severity above 1 must error")
 	}
+	if err := run([]string{"-throttle", "-1"}, &b); err == nil {
+		t.Error("negative severity must error")
+	}
+	if err := run([]string{"-placement", "greedy", "-downlink-gbps", "-1"}, &b); err == nil {
+		t.Error("negative downlink rate must error")
+	}
+}
+
+func TestNegativeShardsRejected(t *testing.T) {
+	// The star and the Walker graph reject a negative shard count alike.
+	for _, args := range [][]string{
+		{"-shards", "-1"},
+		{"-planes", "2", "-sats-per-plane", "4", "-shards", "-3"},
+	} {
+		var b strings.Builder
+		if err := run(args, &b); err == nil || !strings.Contains(err.Error(), "shard") {
+			t.Errorf("%v: err = %v, want a negative shard count error", args, err)
+		}
+	}
 }
 
 func TestHorizonYearsRunsSurvivability(t *testing.T) {

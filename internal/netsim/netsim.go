@@ -257,9 +257,6 @@ func (c Config) Validate() error {
 		if c.NeedWorkers != 0 && c.Topology.Cells() > 1 {
 			return errors.New("netsim: NeedWorkers must be 0 on a multi-cell topology: each cell's full worker complement defines its full service")
 		}
-		if c.Shards < 0 {
-			return errors.New("netsim: negative shard count")
-		}
 		workers = c.Topology.Workers()
 	} else {
 		// Run compiles the star from these caller-supplied fields.
@@ -269,6 +266,9 @@ func (c Config) Validate() error {
 		if c.Workers < 1 {
 			return errors.New("netsim: need at least one worker")
 		}
+	}
+	if c.Shards < 0 {
+		return errors.New("netsim: negative shard count")
 	}
 	if c.NeedWorkers < 0 {
 		return errors.New("netsim: negative need-workers")

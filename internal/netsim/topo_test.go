@@ -224,10 +224,14 @@ func TestTopologyConfigValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "multi-cell") {
 		t.Errorf("NeedWorkers on a 2-plane Walker: err = %v, want the multi-cell rule", err)
 	}
-	bad = c
-	bad.Shards = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative shard count accepted")
+	// A negative shard count is invalid on every graph, the
+	// nil-Topology star included.
+	star := DefaultConfig(workload.Suite[0])
+	for name, cfg := range map[string]Config{"topo.Star": c, "nil Topology": star} {
+		cfg.Shards = -1
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: negative shard count accepted", name)
+		}
 	}
 	bad = c
 	bad.Topology = &topo.Graph{}
