@@ -659,7 +659,7 @@ func (c *chromeWriter) writeScope(scope string, events []Event) {
 	var (
 		sendStart   = map[int64]float64{}     // frame -> in-flight transfer start
 		computeOpen = map[int]openBatch{}     // node -> open batch slice
-		outages     = map[string]openOutage{} // edge label ("" = legacy ISL) -> open window
+		outages     = map[string]openOutage{} // edge label ("" on a single-ISL graph) -> open window
 		brownout    *openBrownout             // open eclipse-brownout window
 		lastT       float64
 	)

@@ -180,8 +180,9 @@ type Event struct {
 	// Cause attributes the event to a fault window, e.g.
 	// "isl-outage#2" or "node-death#3".
 	Cause string `json:"c,omitempty"`
-	// Edge names the ISL link ("<from>-<to>") for edge-scoped events in
-	// topology mode; empty for the legacy single-link simulator.
+	// Edge names the ISL link ("<from>-<to>") of an edge-scoped event on
+	// a graph with more than one ISL, and is "downlink" for a placement
+	// downlink transfer; empty on a single-ISL graph such as the star.
 	Edge string `json:"e,omitempty"`
 	// Tier names the compute tier a Placed frame was routed to.
 	Tier string `json:"tr,omitempty"`

@@ -20,8 +20,8 @@ import (
 	"sort"
 )
 
-// LatencyBounds are the fixed latency bucket upper bounds in seconds,
-// matching the netsim metric recorder's end-of-run histogram so
+// LatencyBounds are the fixed latency bucket upper bounds in seconds.
+// netsim's end-of-run latency_s histogram uses the same table, so
 // windowed quantiles agree with the snapshot. The last bucket is the
 // overflow above the final bound.
 var LatencyBounds = [...]float64{1, 2, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
@@ -212,7 +212,7 @@ func (a *Agg) FracOver(lim float64) float64 {
 
 // Fragment is one cell's contribution to one window.
 type Fragment struct {
-	// Cell is the contributing topology cell (0 for legacy runs).
+	// Cell is the contributing topology cell (0 for one-cell runs).
 	Cell int
 	// Index is the window ordinal: window i covers
 	// [i*width, (i+1)*width) in sim seconds.

@@ -377,9 +377,10 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Star is the paper's reference shape and the legacy simulator model:
-// one aggregate Source of sats capture satellites feeding one SµDC of
-// workers GPU workers over a single zero-delay aggregate ISL.
+// Star is the paper's reference shape, and the graph a netsim config
+// without a Topology runs: one aggregate Source of sats capture
+// satellites feeding one SµDC of workers GPU workers over a single
+// zero-delay aggregate ISL.
 func Star(sats, workers int) *Graph {
 	return &Graph{
 		Nodes: []Node{
@@ -395,7 +396,7 @@ func Star(sats, workers int) *Graph {
 // workersPerSuDC workers in every sudcEvery-th plane (plane 0, plane
 // sudcEvery, …). Each plane is one cell. Within an SµDC plane, the
 // plane's aggregate source feeds its SµDC over a zero-delay intra-plane
-// ISL (the legacy star shape, per plane). When sudcEvery > 1 the planes
+// ISL (the Star shape, per plane). When sudcEvery > 1 the planes
 // are joined into a relay ring: every plane's source connects to both
 // neighbor planes' sources with interPlaneDelay of propagation, and
 // SµDC-less planes route their frames around the ring to the nearest
