@@ -206,8 +206,8 @@ func BenchmarkExtTradeStudy(b *testing.B) { benchExtension(b, "Extension E6") }
 func BenchmarkExtOverprovision(b *testing.B) { benchExtension(b, "Extension E7") }
 
 // BenchmarkNetsim measures a fault-free 2-hour DES run of the default
-// reference scenario — the baseline recorded in BENCH_netsim.json that
-// fault-injection overhead is tracked against.
+// reference scenario. Its BENCH_LEDGER.json row also gates the disabled
+// paths of every optional layer, since the run enables none of them.
 func BenchmarkNetsim(b *testing.B) {
 	c := netsim.DefaultConfig(workload.Suite[0])
 	for i := 0; i < b.N; i++ {
@@ -220,8 +220,7 @@ func BenchmarkNetsim(b *testing.B) {
 // BenchmarkNetsimObserved is BenchmarkNetsim with a metrics registry
 // attached — the overhead of full observability (series sampled every
 // simulated minute, latency histogram, end-of-run counters) relative to
-// the BENCH_netsim.json baseline; tracked in BENCH_obs.json with a <5%
-// budget.
+// BenchmarkNetsim; gated by its own BENCH_LEDGER.json row.
 func BenchmarkNetsimObserved(b *testing.B) {
 	c := netsim.DefaultConfig(workload.Suite[0])
 	for i := 0; i < b.N; i++ {
@@ -235,8 +234,8 @@ func BenchmarkNetsimObserved(b *testing.B) {
 // BenchmarkNetsimWindowed is BenchmarkNetsimObserved with tumbling
 // 10-minute telemetry windows and the SLO engine enabled — the cost of
 // per-window aggregation, watermark-ordered flushing, and burn-rate
-// evaluation relative to the BENCH_obs.json observed baseline; tracked
-// in BENCH_window.json with a <5% budget.
+// evaluation relative to BenchmarkNetsimObserved; gated by its own
+// BENCH_LEDGER.json row.
 func BenchmarkNetsimWindowed(b *testing.B) {
 	c := netsim.DefaultConfig(workload.Suite[0])
 	sc := slo.DefaultConfig()
@@ -254,7 +253,8 @@ func BenchmarkNetsimWindowed(b *testing.B) {
 // BenchmarkNetsimTraced is BenchmarkNetsim with the frame-lineage
 // flight recorder attached — the cost of remembering every frame's
 // lifecycle, relative to the nil-recorder hot path (one nil check per
-// lifecycle point, budgeted at <2% in BENCH_trace.json).
+// lifecycle point, gated by the BenchmarkNetsim row of
+// BENCH_LEDGER.json).
 func BenchmarkNetsimTraced(b *testing.B) {
 	c := netsim.DefaultConfig(workload.Suite[0])
 	for i := 0; i < b.N; i++ {
@@ -270,8 +270,7 @@ func BenchmarkNetsimTraced(b *testing.B) {
 // inter-plane ISL) through the sharded conservative-lookahead runner at
 // shard counts 1, 2, and 8. Results are byte-identical across shard
 // counts; only wall time may differ, and only on multi-core machines.
-// BENCH_shard.json gates the deterministic shards=1 cost and records
-// the scaling medians.
+// BENCH_LEDGER.json has one row per shard count.
 func BenchmarkNetsimSharded(b *testing.B) {
 	g, err := topo.Walker(16, 64, 33, 2, 200*time.Millisecond)
 	if err != nil {
@@ -296,8 +295,7 @@ func BenchmarkNetsimSharded(b *testing.B) {
 // every other plane — 64 cells) over a 10-minute horizon. At this size
 // the per-round machinery itself is on the hook: the tournament tree
 // replaces what would be two 64-cell scans per round, and the active
-// set skips the drained cells. BENCH_shard.json gates the result via
-// the sharded4k_ns_per_op auxiliary field.
+// set skips the drained cells. Gated by its own BENCH_LEDGER.json row.
 func BenchmarkNetsimSharded4k(b *testing.B) {
 	g, err := topo.Walker(64, 64, 33, 2, 200*time.Millisecond)
 	if err != nil {
@@ -313,14 +311,12 @@ func BenchmarkNetsimSharded4k(b *testing.B) {
 	}
 }
 
-// BenchmarkNetsimFaulted measures the same run with every fault process
-// active.
 // BenchmarkNetsimDegraded is BenchmarkNetsimFaulted with the full-
 // severity COTS degradation schedule layered on top: thermal
 // throttling in sunlight, the eclipse brownout with worker re-dispatch,
-// and the temperature-modulated SEFI stream. The baseline lives in
-// BENCH_degrade.json; the CI gate also pins the disabled-path overhead
-// (BenchmarkNetsim is unchanged by the nil fast path).
+// and the temperature-modulated SEFI stream. Gated by its own
+// BENCH_LEDGER.json row; the disabled path stays under the
+// BenchmarkNetsim row, which the nil fast path leaves unchanged.
 func BenchmarkNetsimDegraded(b *testing.B) {
 	c := netsim.DefaultConfig(workload.Suite[0])
 	c.Faults = faults.Scenario{
@@ -342,8 +338,8 @@ func BenchmarkNetsimDegraded(b *testing.B) {
 // BenchmarkNetsimPlaced measures the four-tier compute-placement engine
 // on the reference run: the queue-aware policy routes every frame
 // across onboard / SµDC / ground-edge / cloud with live per-tier queue
-// accounting. The baseline lives in BENCH_placement.json; the
-// placement-disabled path stays under the BENCH_netsim.json gate, since
+// accounting. Gated by its own BENCH_LEDGER.json row; the
+// placement-disabled path stays under the BenchmarkNetsim row, since
 // BenchmarkNetsim runs with no placement config at all.
 func BenchmarkNetsimPlaced(b *testing.B) {
 	c := netsim.DefaultConfig(workload.Suite[0])
@@ -360,6 +356,9 @@ func BenchmarkNetsimPlaced(b *testing.B) {
 	}
 }
 
+// BenchmarkNetsimFaulted measures BenchmarkNetsim's run with every
+// fault process active. It has no ledger row: the BenchmarkNetsim row's
+// note records its median, which no gate checks.
 func BenchmarkNetsimFaulted(b *testing.B) {
 	c := netsim.DefaultConfig(workload.Suite[0])
 	c.Faults = faults.Scenario{

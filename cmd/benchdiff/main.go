@@ -1,32 +1,35 @@
 // Command benchdiff turns benchmark drift into a machine-checked gate.
 // It parses `go test -bench` output and compares it either against a
-// second bench output (old vs new) or against the repository's recorded
-// BENCH_*.json baselines, printing a per-benchmark delta table and
-// exiting nonzero when any benchmark regressed beyond the threshold.
+// second bench output (old vs new) or against the repository's
+// benchmark ledger, BENCH_LEDGER.json, printing a per-benchmark delta
+// table and exiting nonzero when any benchmark regressed beyond its
+// limit.
 //
 // Usage:
 //
 //	benchdiff [-threshold pct] old.txt new.txt
-//	benchdiff [-threshold pct] -baseline BENCH_netsim.json [-baseline ...] new.txt
+//	benchdiff -baseline BENCH_LEDGER.json new.txt
 //
 // Bench output may contain repeated runs of a benchmark (go test
 // -count=N); the median ns/op per benchmark is compared, so the gate is
-// robust to a single noisy run. CI runs the netsim and par benchmarks
-// through this tool instead of eyeballing free-text bench logs: every
-// PR's overhead budget is enforced, not hand-recorded.
+// robust to a single noisy run. CI runs every gated benchmark through
+// this tool instead of eyeballing free-text bench logs: every PR's
+// overhead budget is enforced, not hand-recorded.
 //
-// A baseline file may gate sibling benchmarks through an "aux_gates"
-// object mapping benchmark names to other top-level numeric fields of
-// the same file — BENCH_shard.json gates the shards=2/8 fan-out and
-// the 4096-satellite run this way, next to its primary shards=1 number.
+// The ledger is a JSON array with one row per gated benchmark. A row
+// is the only place a gate is defined: its recorded median ns_per_op
+// and its own threshold_pct, so one ledger holds tight gates on the
+// always-on paths next to loose ones on GC-bound opt-in paths. In
+// two-file mode every benchmark of old.txt is gated at -threshold.
 //
-// Exit codes: 0 pass, 1 regression (or baseline benchmark missing from
+// Exit codes: 0 pass, 1 regression (or gated benchmark missing from
 // the input), 2 usage or parse error.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,7 +37,6 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
-	"strings"
 	"text/tabwriter"
 )
 
@@ -63,6 +65,28 @@ func parseBench(r io.Reader) (map[string][]float64, error) {
 	return out, sc.Err()
 }
 
+// readMedians parses one bench output file into one median ns/op per
+// benchmark. A file without a single result line is an error.
+func readMedians(path string) (map[string]float64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	samples, err := parseBench(f)
+	if err != nil {
+		return nil, err
+	}
+	if len(samples) == 0 {
+		return nil, fmt.Errorf("benchdiff: no benchmark results in %s", path)
+	}
+	out := make(map[string]float64, len(samples))
+	for name, xs := range samples {
+		out[name] = median(xs)
+	}
+	return out, nil
+}
+
 // median returns the median of a non-empty sample set.
 func median(xs []float64) float64 {
 	s := append([]float64(nil), xs...)
@@ -74,213 +98,173 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// medians reduces parseBench samples to one median ns/op per benchmark.
-func medians(samples map[string][]float64) map[string]float64 {
-	out := make(map[string]float64, len(samples))
-	for name, xs := range samples {
-		out[name] = median(xs)
-	}
-	return out
+// row is one gated benchmark: the ledger's row schema. Benchmark,
+// NsPerOp and ThresholdPct define the gate; the rest is the record
+// that explains the number.
+type row struct {
+	Benchmark    string  `json:"benchmark"`
+	NsPerOp      float64 `json:"ns_per_op"`
+	ThresholdPct float64 `json:"threshold_pct"`
+	PriorNsPerOp float64 `json:"prior_ns_per_op,omitempty"`
+	Machine      string  `json:"machine,omitempty"`
+	Note         string  `json:"note,omitempty"`
 }
 
-// baseline is the machine-readable slice of a BENCH_*.json file. The
-// files carry additional narrative fields (scenario, machine, notes,
-// prior_ns_per_op trajectory); benchdiff needs the benchmark name, its
-// recorded median, and — optionally — an aux_gates object mapping
-// further benchmark names to other top-level numeric fields of the
-// same file, so one baseline file can gate a whole benchmark family
-// (e.g. the per-shard-count variants it records alongside its primary
-// number).
-type baseline struct {
-	Benchmark string            `json:"benchmark"`
-	NsPerOp   float64           `json:"ns_per_op"`
-	AuxGates  map[string]string `json:"aux_gates"`
-
-	aux map[string]float64 // resolved aux_gates: benchmark name → ns/op
-}
-
-// readBaseline loads one BENCH_*.json baseline file and resolves its
-// aux_gates references against the file's own top-level fields.
-func readBaseline(path string) (baseline, error) {
-	data, err := os.ReadFile(path)
+// readLedger loads a benchmark ledger. It rejects unknown keys, so a
+// misspelt or retired field cannot silently drop out of the gate, and
+// duplicate rows, so each benchmark has exactly one limit.
+func readLedger(path string) ([]row, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return baseline{}, err
+		return nil, err
 	}
-	var b baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return baseline{}, fmt.Errorf("benchdiff: %s: %v", path, err)
+	defer f.Close()
+	var rows []row
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rows); err != nil {
+		return nil, fmt.Errorf("benchdiff: %s: %v", path, err)
 	}
-	if b.Benchmark == "" || b.NsPerOp <= 0 {
-		return baseline{}, fmt.Errorf("benchdiff: %s: needs non-empty \"benchmark\" and positive \"ns_per_op\"", path)
+	if dec.More() {
+		return nil, fmt.Errorf("benchdiff: %s: data after the ledger array", path)
 	}
-	if len(b.AuxGates) > 0 {
-		var raw map[string]any
-		if err := json.Unmarshal(data, &raw); err != nil {
-			return baseline{}, fmt.Errorf("benchdiff: %s: %v", path, err)
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("benchdiff: %s: no rows", path)
+	}
+	seen := make(map[string]bool, len(rows))
+	for i, r := range rows {
+		if r.Benchmark == "" || r.NsPerOp <= 0 || r.ThresholdPct <= 0 {
+			return nil, fmt.Errorf("benchdiff: %s: row %d needs a \"benchmark\" name and positive \"ns_per_op\" and \"threshold_pct\"", path, i)
 		}
-		b.aux = make(map[string]float64, len(b.AuxGates))
-		for bench, field := range b.AuxGates {
-			if !strings.HasPrefix(bench, "Benchmark") {
-				return baseline{}, fmt.Errorf("benchdiff: %s: aux gate %q does not name a Go benchmark", path, bench)
-			}
-			ns, ok := raw[field].(float64)
-			if !ok || ns <= 0 {
-				return baseline{}, fmt.Errorf("benchdiff: %s: aux gate %q needs a positive numeric field %q", path, bench, field)
-			}
-			b.aux[bench] = ns
+		if seen[r.Benchmark] {
+			return nil, fmt.Errorf("benchdiff: %s: duplicate row for %s", path, r.Benchmark)
 		}
+		seen[r.Benchmark] = true
 	}
-	return b, nil
+	return rows, nil
 }
 
-// diff is one benchmark's old-vs-new comparison.
+// diff is one gated benchmark's baseline-vs-new comparison.
 type diff struct {
-	name     string
-	old, new float64
-	missing  bool // present in the baseline set but absent from the input
+	row
+	new     float64
+	missing bool // gated but absent from the input
 }
 
-// computeDiffs pairs baseline entries with new results, sorted by name
-// for a deterministic report. Benchmarks in the input without a baseline
-// are ignored (they are counted by the caller for the note line).
-func computeDiffs(base, cur map[string]float64) []diff {
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
+// computeDiffs pairs gated rows with new results, sorted by name for a
+// deterministic report. Benchmarks in the input without a row are
+// ignored (they are counted by the caller for the note line).
+func computeDiffs(rows []row, cur map[string]float64) []diff {
+	out := make([]diff, 0, len(rows))
+	for _, r := range rows {
+		ns, ok := cur[r.Benchmark]
+		out = append(out, diff{row: r, new: ns, missing: !ok})
 	}
-	sort.Strings(names)
-	out := make([]diff, 0, len(names))
-	for _, name := range names {
-		d := diff{name: name, old: base[name]}
-		if ns, ok := cur[name]; ok {
-			d.new = ns
-		} else {
-			d.missing = true
-		}
-		out = append(out, d)
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Benchmark < out[j].Benchmark })
 	return out
 }
 
 // report renders the delta table and verdict. It returns true when any
-// benchmark regressed beyond thresholdPct (or is missing from the
-// input). unmatched is the count of input benchmarks with no baseline.
-func report(w io.Writer, diffs []diff, thresholdPct float64, unmatched int) bool {
+// benchmark regressed beyond its row's limit (or is missing from the
+// input). unmatched is the count of input benchmarks with no row.
+func report(w io.Writer, diffs []diff, unmatched int) bool {
 	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(tw, "benchmark\tbaseline ns/op\tnew ns/op\tdelta\t\n")
+	fmt.Fprintf(tw, "benchmark\tbaseline ns/op\tnew ns/op\tdelta\tlimit\t\n")
 	regressed := 0
 	for _, d := range diffs {
 		if d.missing {
-			fmt.Fprintf(tw, "%s\t%.0f\t-\tMISSING\t\n", d.name, d.old)
+			fmt.Fprintf(tw, "%s\t%.0f\t-\tMISSING\t%.1f%%\t\n", d.Benchmark, d.NsPerOp, d.ThresholdPct)
 			regressed++
 			continue
 		}
-		delta := 100 * (d.new - d.old) / d.old
+		delta := 100 * (d.new - d.NsPerOp) / d.NsPerOp
 		mark := ""
-		if delta > thresholdPct {
+		if delta > d.ThresholdPct {
 			mark = "  REGRESSION"
 			regressed++
 		}
-		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%+.1f%%%s\t\n", d.name, d.old, d.new, delta, mark)
+		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%+.1f%%\t%.1f%%\t%s\n", d.Benchmark, d.NsPerOp, d.new, delta, d.ThresholdPct, mark)
 	}
 	tw.Flush()
 	if unmatched > 0 {
 		fmt.Fprintf(w, "note: %d benchmark(s) in the input had no baseline\n", unmatched)
 	}
 	if regressed > 0 {
-		fmt.Fprintf(w, "FAIL: %d of %d benchmarks regressed more than %.1f%% (or are missing)\n",
-			regressed, len(diffs), thresholdPct)
+		fmt.Fprintf(w, "FAIL: %d of %d benchmarks regressed past their limit (or are missing)\n", regressed, len(diffs))
 		return true
 	}
-	fmt.Fprintf(w, "PASS: %d benchmarks within %.1f%% of baseline\n", len(diffs), thresholdPct)
+	fmt.Fprintf(w, "PASS: %d benchmarks within their limits\n", len(diffs))
 	return false
 }
-
-// baselineList collects repeated -baseline flags.
-type baselineList []string
-
-func (b *baselineList) String() string     { return strings.Join(*b, ",") }
-func (b *baselineList) Set(v string) error { *b = append(*b, v); return nil }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	threshold := fs.Float64("threshold", 10, "regression threshold in percent")
-	var baselines baselineList
-	fs.Var(&baselines, "baseline", "BENCH_*.json baseline file (repeatable)")
+	threshold := fs.Float64("threshold", 10, "regression threshold in percent (two-file mode only)")
+	var ledger string
+	fs.Func("baseline", "BENCH_LEDGER.json ledger; each row carries its own threshold_pct", func(v string) error {
+		if ledger != "" {
+			return errors.New("given more than once")
+		}
+		ledger = v
+		return nil
+	})
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: benchdiff [-threshold pct] old.txt new.txt\n")
-		fmt.Fprintf(stderr, "       benchdiff [-threshold pct] -baseline BENCH_x.json [-baseline ...] new.txt\n")
+		fmt.Fprintf(stderr, "       benchdiff -baseline BENCH_LEDGER.json new.txt\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	thresholdSet := false
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "threshold" {
+			thresholdSet = true
+		}
+	})
 
-	var base map[string]float64
+	var rows []row
 	var newPath string
 	switch {
-	case len(baselines) > 0 && fs.NArg() == 1:
-		base = make(map[string]float64, len(baselines))
-		for _, path := range baselines {
-			b, err := readBaseline(path)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			base[b.Benchmark] = b.NsPerOp
-			for name, ns := range b.aux {
-				base[name] = ns
-			}
+	case ledger != "" && thresholdSet:
+		fmt.Fprintln(stderr, "benchdiff: -threshold applies only to two-file mode; each ledger row carries its own threshold_pct")
+		return 2
+	case ledger != "" && fs.NArg() == 1:
+		var err error
+		if rows, err = readLedger(ledger); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		newPath = fs.Arg(0)
-	case len(baselines) == 0 && fs.NArg() == 2:
-		f, err := os.Open(fs.Arg(0))
+	case ledger == "" && fs.NArg() == 2:
+		old, err := readMedians(fs.Arg(0))
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		samples, err := parseBench(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
+		for name, ns := range old {
+			rows = append(rows, row{Benchmark: name, NsPerOp: ns, ThresholdPct: *threshold})
 		}
-		if len(samples) == 0 {
-			fmt.Fprintf(stderr, "benchdiff: no benchmark results in %s\n", fs.Arg(0))
-			return 2
-		}
-		base = medians(samples)
 		newPath = fs.Arg(1)
 	default:
 		fs.Usage()
 		return 2
 	}
 
-	f, err := os.Open(newPath)
+	cur, err := readMedians(newPath)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	samples, err := parseBench(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	if len(samples) == 0 {
-		fmt.Fprintf(stderr, "benchdiff: no benchmark results in %s\n", newPath)
-		return 2
-	}
-	cur := medians(samples)
-
-	unmatched := 0
-	for name := range cur {
-		if _, ok := base[name]; !ok {
-			unmatched++
+	diffs := computeDiffs(rows, cur)
+	unmatched := len(cur)
+	for _, d := range diffs {
+		if !d.missing {
+			unmatched--
 		}
 	}
-	if report(stdout, computeDiffs(base, cur), *threshold, unmatched) {
+	if report(stdout, diffs, unmatched) {
 		return 1
 	}
 	return 0

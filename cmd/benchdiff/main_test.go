@@ -2,8 +2,10 @@ package main
 
 import (
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -89,109 +91,97 @@ func TestGoldenFailReport(t *testing.T) {
 	checkGolden(t, "report_fail.golden", out.String())
 }
 
-// TestBaselineMode compares bench output against the repo's BENCH_*.json
-// schema: {"benchmark": ..., "ns_per_op": ...} plus narrative fields the
-// tool ignores.
-func TestBaselineMode(t *testing.T) {
+// TestLedgerMode gates bench output against a ledger: each row at its
+// own threshold_pct, so in one run the same +20% delta fails a 10% row
+// and passes a 25% row, and narrative fields are accepted.
+func TestLedgerMode(t *testing.T) {
 	dir := t.TempDir()
-	basePath := writeFile(t, dir, "BENCH_x.json", `{
-  "benchmark": "BenchmarkNetsim",
-  "scenario": "ignored narrative",
-  "ns_per_op": 15700000,
-  "prior_ns_per_op": 29800000
-}`)
-	newPath := writeFile(t, dir, "new.txt",
-		"BenchmarkNetsim-8 20 16000000 ns/op\nPASS\n")
+	ledger := writeFile(t, dir, "ledger.json", `[
+  {"benchmark": "BenchmarkTight", "ns_per_op": 1000, "threshold_pct": 10,
+   "prior_ns_per_op": 2000, "machine": "test host", "note": "always-on path"},
+  {"benchmark": "BenchmarkLoose/shards=2", "ns_per_op": 1000, "threshold_pct": 25}
+]`)
+	okPath := writeFile(t, dir, "ok.txt",
+		"BenchmarkTight-8 5 1050 ns/op\nBenchmarkLoose/shards=2-8 5 1050 ns/op\nBenchmarkExtra-8 5 1 ns/op\nPASS\n")
 	var out, errOut strings.Builder
-	if code := run([]string{"-baseline", basePath, newPath}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	if code := run([]string{"-baseline", ledger, okPath}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s\n%s", code, errOut.String(), out.String())
 	}
-	if !strings.Contains(out.String(), "PASS: 1 benchmarks within 10.0%") {
+	if !strings.Contains(out.String(), "PASS: 2 benchmarks within their limits") ||
+		!strings.Contains(out.String(), "note: 1 benchmark(s) in the input had no baseline") {
 		t.Errorf("unexpected report:\n%s", out.String())
 	}
 
-	// The same baseline fails once the input regresses past the threshold.
 	slowPath := writeFile(t, dir, "slow.txt",
-		"BenchmarkNetsim-8 20 18000000 ns/op\nPASS\n")
+		"BenchmarkTight-8 5 1200 ns/op\nBenchmarkLoose/shards=2-8 5 1200 ns/op\nPASS\n")
 	out.Reset()
-	if code := run([]string{"-baseline", basePath, slowPath}, &out, &errOut); code != 1 {
+	if code := run([]string{"-baseline", ledger, slowPath}, &out, &errOut); code != 1 {
 		t.Fatalf("exit %d, want 1:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("report missing REGRESSION mark:\n%s", out.String())
+	for _, line := range strings.Split(out.String(), "\n") {
+		switch {
+		case strings.Contains(line, "BenchmarkTight"):
+			if !strings.Contains(line, "+20.0%") || !strings.Contains(line, "10.0%  REGRESSION") {
+				t.Errorf("10%% row must fail at +20%%: %q", line)
+			}
+		case strings.Contains(line, "BenchmarkLoose"):
+			if !strings.Contains(line, "+20.0%") || strings.Contains(line, "REGRESSION") {
+				t.Errorf("25%% row must pass at +20%%: %q", line)
+			}
+		}
+	}
+	if !strings.Contains(out.String(), "FAIL: 1 of 2 benchmarks regressed past their limit") {
+		t.Errorf("unexpected verdict:\n%s", out.String())
 	}
 }
 
-// TestRepoBaselinesParse guards the checked-in BENCH_*.json files: each
-// must carry the benchmark name and ns_per_op benchdiff keys, and any
-// aux_gates must resolve against the file's own fields.
-func TestRepoBaselinesParse(t *testing.T) {
-	for _, name := range []string{"BENCH_netsim.json", "BENCH_obs.json", "BENCH_trace.json", "BENCH_par.json", "BENCH_shard.json"} {
-		b, err := readBaseline(filepath.Join("..", "..", name))
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if !strings.HasPrefix(b.Benchmark, "Benchmark") {
-			t.Errorf("%s: benchmark %q does not name a Go benchmark", name, b.Benchmark)
-		}
-	}
-	// BENCH_shard.json gates the whole sharded family through aux_gates.
-	b, err := readBaseline(filepath.Join("..", "..", "BENCH_shard.json"))
+// TestRepoLedger guards the checked-in BENCH_LEDGER.json: it parses with
+// the reader the gate uses, and every row's top-level benchmark (the
+// name before the first "/") is declared in a _test.go file of the root
+// module, so renaming a benchmark fails here instead of leaving a row
+// that only the CI gate reads.
+func TestRepoLedger(t *testing.T) {
+	root := filepath.Join("..", "..")
+	rows, err := readLedger(filepath.Join(root, "BENCH_LEDGER.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"BenchmarkNetsimSharded/shards=2",
-		"BenchmarkNetsimSharded/shards=8",
-		"BenchmarkNetsimSharded4k",
-	} {
-		if b.aux[want] <= 0 {
-			t.Errorf("BENCH_shard.json: aux gate %q unresolved (aux %v)", want, b.aux)
+	decl := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(b \*testing\.B\)`)
+	declared := make(map[string]bool)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			// Hidden directories and nested modules (bench/) are not
+			// part of the root module.
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestAuxGateBaseline pins the aux_gates expansion: one baseline file
-// gates its sibling benchmarks, regressions in an aux benchmark fail
-// the run, and dangling field references are usage errors.
-func TestAuxGateBaseline(t *testing.T) {
-	dir := t.TempDir()
-	basePath := writeFile(t, dir, "BENCH_aux.json", `{
-  "benchmark": "BenchmarkSharded/shards=1",
-  "ns_per_op": 1000,
-  "shards8_ns_per_op": 1200,
-  "aux_gates": {"BenchmarkSharded/shards=8": "shards8_ns_per_op"}
-}`)
-	okPath := writeFile(t, dir, "ok.txt",
-		"BenchmarkSharded/shards=1-8 5 1010 ns/op\nBenchmarkSharded/shards=8-8 5 1190 ns/op\nPASS\n")
-	var out, errOut strings.Builder
-	if code := run([]string{"-baseline", basePath, okPath}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d, stderr: %s\n%s", code, errOut.String(), out.String())
-	}
-	checkGolden(t, "report_aux.golden", out.String())
-
-	// A regression in the aux-gated benchmark alone must fail the gate.
-	slowPath := writeFile(t, dir, "slow.txt",
-		"BenchmarkSharded/shards=1-8 5 1010 ns/op\nBenchmarkSharded/shards=8-8 5 1500 ns/op\nPASS\n")
-	out.Reset()
-	if code := run([]string{"-baseline", basePath, slowPath}, &out, &errOut); code != 1 {
-		t.Fatalf("aux regression: exit %d, want 1:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("report missing REGRESSION mark:\n%s", out.String())
-	}
-
-	// Dangling aux field references and non-benchmark keys are errors.
-	for _, bad := range []string{
-		`{"benchmark": "BenchmarkX", "ns_per_op": 1, "aux_gates": {"BenchmarkY": "missing_field"}}`,
-		`{"benchmark": "BenchmarkX", "ns_per_op": 1, "not_ns": "text", "aux_gates": {"BenchmarkY": "not_ns"}}`,
-		`{"benchmark": "BenchmarkX", "ns_per_op": 1, "f": 2, "aux_gates": {"y": "f"}}`,
-	} {
-		badPath := writeFile(t, dir, "bad.json", bad)
-		out.Reset()
-		if code := run([]string{"-baseline", badPath, okPath}, &out, &errOut); code != 2 {
-			t.Errorf("bad baseline %s: exit %d, want 2", bad, code)
+	for _, r := range rows {
+		top, _, _ := strings.Cut(r.Benchmark, "/")
+		if !declared[top] {
+			t.Errorf("ledger row %s: no func %s(b *testing.B) in the root module's tests", r.Benchmark, top)
 		}
 	}
 }
@@ -217,6 +207,41 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{full, empty}, &out, &errOut); code != 2 {
 		t.Error("empty new file must be a usage error")
+	}
+}
+
+// TestLedgerRejects pins the ledger's schema checks and the flags it
+// forbids: each case would otherwise pass the gate, and must exit 2.
+func TestLedgerRejects(t *testing.T) {
+	var out, errOut strings.Builder
+	dir := t.TempDir()
+	full := writeFile(t, dir, "full.txt", "BenchmarkX-8 1 100 ns/op\n")
+	ledger := writeFile(t, dir, "ledger.json", `[{"benchmark": "BenchmarkX", "ns_per_op": 100, "threshold_pct": 10}]`)
+	for _, args := range [][]string{
+		{"-threshold", "10", "-baseline", ledger, full},  // per-row limits only
+		{"-baseline", ledger, "-baseline", ledger, full}, // not repeatable
+	} {
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("run(%v) = %d, want 2", args, code)
+		}
+	}
+	for _, bad := range []string{
+		`[{"benchmark": "BenchmarkX", "ns_per_op": 100, "threshold_pct": 10, "aux_gates": {}}]`, // unknown key
+		`[{"benchmark": "BenchmarkX", "ns_per_op": 100, "threshold_pct": 10},
+		  {"benchmark": "BenchmarkX", "ns_per_op": 200, "threshold_pct": 25}]`, // duplicate row
+		`[{"benchmark": "BenchmarkX", "ns_per_op": 100, "threshold_pct": 0}]`,
+		`[{"benchmark": "BenchmarkX", "ns_per_op": 100, "threshold_pct": -10}]`,
+		`[{"benchmark": "BenchmarkX", "ns_per_op": 0, "threshold_pct": 10}]`,
+		`[{"benchmark": "BenchmarkX", "ns_per_op": -1, "threshold_pct": 10}]`,
+		`[{"ns_per_op": 100, "threshold_pct": 10}]`,                               // no benchmark name
+		`{"benchmark": "BenchmarkX", "ns_per_op": 100}`,                           // a pre-ledger single-file baseline
+		`[{"benchmark": "BenchmarkX", "ns_per_op": 100, "threshold_pct": 10}] []`, // trailing data
+		`[]`, // gates nothing
+	} {
+		badPath := writeFile(t, dir, "bad.json", bad)
+		if code := run([]string{"-baseline", badPath, full}, &out, &errOut); code != 2 {
+			t.Errorf("ledger %s: exit %d, want 2", bad, code)
+		}
 	}
 }
 

@@ -222,7 +222,7 @@ func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg 
 	s.sizeLatencies(p.sats)
 
 	if c.Obs != nil {
-		s.rec = newRecorder(c.Obs, c.SampleEvery, s)
+		s.rec = newRecorder(c.Obs, s)
 	}
 	s.seedEvents(sched)
 	if s.deg != nil {

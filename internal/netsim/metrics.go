@@ -8,9 +8,9 @@ import (
 	"sudc/internal/placement"
 )
 
-// DefaultSampleEvery is the simulated-time sampling period for the
-// observability time series when Config.SampleEvery is zero.
-const DefaultSampleEvery = time.Minute
+// sampleEvery is the simulated-time sampling period of the
+// observability time series.
+const sampleEvery = time.Minute
 
 // backoffBuckets are the retry-backoff histogram bounds, in seconds. The
 // latency histogram shares window.LatencyBounds, so windowed quantiles
@@ -47,9 +47,8 @@ var eventNames = [...]string{
 // process worker count — the determinism contract of PR 1/2 extends to
 // the metrics.
 type recorder struct {
-	sim    *simulator
-	period float64 // grid spacing, simulated seconds
-	next   float64 // next grid point to sample
+	sim  *simulator
+	next float64 // next grid point to sample, simulated seconds
 
 	queueDepth *obs.Series
 	islDepth   []*obs.Series // one per ISL edge, named "isl/<from>-<to>"
@@ -85,15 +84,10 @@ type recorder struct {
 // newRecorder builds the run's recorder. The caller configures the
 // simulator's link array first: the per-edge ISL depth series are laid
 // out one per link, in link order.
-func newRecorder(reg *obs.Registry, every time.Duration, sim *simulator) *recorder {
-	period := every.Seconds()
-	if period <= 0 {
-		period = DefaultSampleEvery.Seconds()
-	}
+func newRecorder(reg *obs.Registry, sim *simulator) *recorder {
 	r := &recorder{
 		sim:        sim,
-		period:     period,
-		next:       period,
+		next:       sampleEvery.Seconds(),
 		queueDepth: reg.Series("queue/depth"),
 		backlog:    reg.Series("backlog"),
 		effective:  reg.Series("workers/effective"),
@@ -162,7 +156,7 @@ func (r *recorder) record(t float64) {
 func (r *recorder) catchUp(t float64) {
 	for r.next < t {
 		r.record(r.next)
-		r.next += r.period
+		r.next += sampleEvery.Seconds()
 	}
 }
 
@@ -170,7 +164,7 @@ func (r *recorder) catchUp(t float64) {
 func (r *recorder) finish(horizon float64) {
 	for r.next <= horizon {
 		r.record(r.next)
-		r.next += r.period
+		r.next += sampleEvery.Seconds()
 	}
 }
 

@@ -102,14 +102,11 @@ type Config struct {
 	// Obs, when non-nil, receives this run's observability stream:
 	// frame counters, the latency and retry-backoff histograms, and
 	// queue-depth/backlog/retry/shed/availability time series sampled
-	// on the simulated clock every SampleEvery. Because sampling is
+	// on the simulated clock every minute. Because sampling is
 	// keyed to simulated time only, the stream is byte-identical for
 	// any process worker count. Each run needs its own registry or
 	// scope; RunReplicas scopes one per replica automatically.
 	Obs *obs.Registry
-	// SampleEvery is the simulated-time sampling period for the Obs
-	// time series (0 = DefaultSampleEvery; negative is invalid).
-	SampleEvery time.Duration
 
 	// Topology is the constellation graph the run simulates: frames
 	// route along graph edges toward their nearest SµDC, every ISL edge
@@ -195,10 +192,11 @@ type Config struct {
 	OnWindow func(window.Window)
 	// SLO, when non-nil, evaluates the declared objectives over the
 	// window stream with multi-window burn-rate alerting once the run
-	// completes. Requires Window > 0. Each alert is recorded as an
-	// "slo_alert" trace event (when Trace is set) carrying the window's
-	// ranked environment attribution; a zero CostFloor is filled from
-	// the placement model's oracle floor.
+	// completes. Requires Window > 0. Alerts land only in Trace, each
+	// as an "slo_alert" event carrying the window's ranked environment
+	// attribution, so a run without a Trace skips the evaluation; for a
+	// report without a trace, run slo.Run over the OnWindow stream. A
+	// zero CostFloor is filled from the placement model's oracle floor.
 	SLO *slo.Config
 }
 
@@ -314,9 +312,6 @@ func (c Config) Validate() error {
 	}
 	if c.ShedThreshold < ShedAll {
 		return fmt.Errorf("netsim: shed threshold %d below ShedAll (%d)", c.ShedThreshold, ShedAll)
-	}
-	if c.SampleEvery < 0 {
-		return errors.New("netsim: negative sample period")
 	}
 	if c.Degrade != nil {
 		if err := c.Degrade.Validate(); err != nil {
@@ -585,10 +580,12 @@ func buildDegrade(c Config) (*degrade.Schedule, error) {
 
 // emitSLO evaluates the run's SLO objectives over the merged window
 // stream and records each burn-rate alert as an "slo_alert" trace
-// event. A zero CostFloor is filled from the placement oracle so the
-// cost-per-frame objective prices against the provable floor.
+// event. Alerts have no other destination, so a run without a trace
+// skips the evaluation. A zero CostFloor is filled from the placement
+// oracle so the cost-per-frame objective prices against the provable
+// floor.
 func emitSLO(c Config, wins []window.Window) {
-	if c.SLO == nil || len(wins) == 0 {
+	if c.SLO == nil || c.Trace == nil || len(wins) == 0 {
 		return
 	}
 	cfg := *c.SLO
@@ -596,9 +593,6 @@ func emitSLO(c Config, wins []window.Window) {
 		cfg.CostFloor = c.Placement.Model.OracleCost()
 	}
 	rep := slo.Run(cfg, wins)
-	if c.Trace == nil {
-		return
-	}
 	for _, a := range rep.Alerts {
 		c.Trace.Record(trace.Event{T: a.End, Kind: trace.SLOAlert, Node: -1,
 			N: a.Window, Mult: a.Fast, Dur: a.End - a.Start,

@@ -217,7 +217,7 @@ func TestObsStreamRecordsFaultedRun(t *testing.T) {
 	for _, sv := range snap.Series {
 		series[sv.Name] = len(sv.Points)
 	}
-	wantPoints := int(c.Duration / DefaultSampleEvery)
+	wantPoints := int(c.Duration / sampleEvery)
 	for _, name := range []string{"queue/depth", "isl/sats-sudc", "backlog", "availability", "workers/effective", "retries", "shed"} {
 		if series[name] != wantPoints {
 			t.Errorf("series %s has %d points, want %d (one per simulated minute)", name, series[name], wantPoints)

@@ -9,8 +9,8 @@ import (
 	"sudc/internal/obs/trace/tracetest"
 )
 
-// The codec benchmarks run on the reference recording; BENCH_trace.json
-// gates their medians through its aux_gates.
+// The codec benchmarks run on the reference recording; each has its own
+// BENCH_LEDGER.json row.
 
 func BenchmarkWriteJSONL(b *testing.B) {
 	rec := tracetest.Reference(b)

@@ -2,9 +2,9 @@ package par
 
 // BenchmarkParOverhead measures the engine's per-item dispatch cost for
 // tiny work items — the regime where scheduling overhead, not the work,
-// dominates. The ns/item metric is the number tracked in BENCH_par.json:
-// it bounds how small a work item can be before funneling it through the
-// engine stops paying.
+// dominates. BENCH_LEDGER.json gates the workers=4/items=65536 case; the
+// ns/item metric bounds how small a work item can be before funneling it
+// through the engine stops paying.
 
 import (
 	"fmt"
