@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +10,8 @@ import (
 
 	"sudc/internal/obs/trace"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/usage.golden")
 
 func runCmd(t *testing.T, args ...string) string {
 	t.Helper()
@@ -151,5 +155,28 @@ func TestTraceOutRecordsExhibitSpans(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("trace missing the exhibit span; %d events", rec.Len())
+	}
+}
+
+func TestUsageGolden(t *testing.T) {
+	// -h prints every flag's name, default and help line; the golden
+	// pins the flag set. Regenerate with:
+	// go test ./cmd/experiments -run TestUsageGolden -update
+	var b strings.Builder
+	if err := run([]string{"-h"}, &b); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
+	}
+	golden := filepath.Join("testdata", "usage.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("usage drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, b.String(), want)
 	}
 }
