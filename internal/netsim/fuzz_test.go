@@ -34,7 +34,6 @@ func FuzzConfigValidate(f *testing.F) {
 			App:             workload.Suite[0],
 			ISLRate:         units.GbpsOf(30),
 			Workers:         workers,
-			WorkerPower:     workload.Suite[0].GPUPower,
 			BatchSize:       batch,
 			BatchTimeout:    time.Duration(timeoutS * float64(time.Second)),
 			InsightFraction: insight,

@@ -62,9 +62,8 @@ type Config struct {
 	App workload.App
 	// ISLRate is the aggregate link capacity into the SµDC.
 	ISLRate units.DataRate
-	// Workers is the number of GPU nodes; WorkerPower their per-node draw.
-	Workers     int
-	WorkerPower units.Power
+	// Workers is the number of GPU nodes, each drawing App.GPUPower.
+	Workers int
 	// BatchSize is the energy-minimizing batch; a partial batch is
 	// dispatched after BatchTimeout.
 	BatchSize    int
@@ -212,7 +211,6 @@ func DefaultConfig(app workload.App) Config {
 		App:             app,
 		ISLRate:         units.GbpsOf(30),
 		Workers:         workers,
-		WorkerPower:     app.GPUPower,
 		BatchSize:       8,
 		BatchTimeout:    2 * time.Minute,
 		InsightFraction: 0.2,
@@ -279,9 +277,6 @@ func (c Config) Validate() error {
 	}
 	if c.ISLRate <= 0 {
 		return errors.New("netsim: ISL rate must be positive")
-	}
-	if c.WorkerPower <= 0 {
-		return errors.New("netsim: worker power must be positive")
 	}
 	if c.BatchSize < 1 {
 		return errors.New("netsim: batch size must be ≥ 1")

@@ -31,7 +31,6 @@ func TestValidate(t *testing.T) {
 		{"bad app", func(c *Config) { c.App.GPUPower = 0 }},
 		{"no ISL", func(c *Config) { c.ISLRate = 0 }},
 		{"no workers", func(c *Config) { c.Workers = 0 }},
-		{"no worker power", func(c *Config) { c.WorkerPower = 0 }},
 		{"zero batch", func(c *Config) { c.BatchSize = 0 }},
 		{"zero timeout", func(c *Config) { c.BatchTimeout = 0 }},
 		{"bad insight", func(c *Config) { c.InsightFraction = 1.5 }},

@@ -298,7 +298,7 @@ func (s *simulator) resetCommon(c Config, workers int) {
 	s.horizon = c.Duration.Seconds()
 	s.framePeriod = 60 / c.Constellation.FramesPerMinute
 	s.frameBits = c.App.FrameBits() * (1 - c.Constellation.FilterRate)
-	s.nodePixSec = c.App.KPixelPerJoule * 1e3 * float64(c.WorkerPower)
+	s.nodePixSec = c.App.KPixelPerJoule * 1e3 * float64(c.App.GPUPower)
 	s.framePixels = c.App.FrameMPixels * 1e6 * (1 - c.Constellation.FilterRate)
 
 	s.backoffBase = c.RetryBackoff.Seconds()
@@ -1231,7 +1231,7 @@ func (s *simulator) finish() Stats {
 	if s.totalWorkers > 0 {
 		stats.WorkerUtilization = units.Clamp(s.busySum/(s.horizon*float64(s.totalWorkers)), 0, 1)
 	}
-	stats.ComputeEnergy = units.Energy(s.busySum * float64(s.c.WorkerPower))
+	stats.ComputeEnergy = units.Energy(s.busySum * float64(s.c.App.GPUPower))
 	stats.KeptUp = stats.Backlog <= 2*s.c.BatchSize*s.totalWorkers
 	stats.WorkerDowntime = time.Duration(s.downWS * float64(time.Second))
 	stats.ISLDowntime = time.Duration(islDown * float64(time.Second))
