@@ -59,8 +59,7 @@ type recorder struct {
 	// count of new retries/sheds since the previous grid point (the
 	// README's "retry and shed rate" reading), so spikes localize to
 	// their grid interval. Cumulative totals live in the frames/retried
-	// and frames/shed counters; obs.Series.Rate inverts a legacy
-	// cumulative recording.
+	// and frames/shed counters.
 	retried     *obs.Series
 	shed        *obs.Series
 	prevRetried int

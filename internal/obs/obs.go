@@ -303,72 +303,19 @@ type Point struct {
 	V float64 `json:"v"`
 }
 
-// Series is an append-only sampled time series. The zero value is
-// unbounded; SetMaxPoints bounds its memory with deterministic 2×
-// decimation, so long simulations cannot grow the registry without
-// limit.
+// Series is an append-only sampled time series.
 type Series struct {
-	mu     sync.Mutex
-	pts    []Point
-	max    int   // 0 = unbounded
-	stride int64 // accept every stride-th offered sample; 0/1 = all
-	n      int64 // samples offered so far
+	mu  sync.Mutex
+	pts []Point
 }
 
-// SetMaxPoints bounds the series at max retained points (≤ 0 restores
-// the unbounded zero-value behavior). When an append would exceed the
-// bound, the series decimates 2×: every other retained point is
-// dropped and the acceptance stride doubles, so the retained points
-// stay evenly spaced over the offered samples and the result is a pure
-// function of the sample sequence — worker-count determinism is
-// preserved. Retained count stays within (max/2, max].
-func (s *Series) SetMaxPoints(max int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if max <= 0 {
-		s.max = 0
-		return
-	}
-	s.max = max
-	for len(s.pts) > s.max {
-		s.decimateLocked()
-	}
-}
-
-// decimateLocked halves the retained points (keep-every-other) and
-// doubles the acceptance stride.
-func (s *Series) decimateLocked() {
-	kept := s.pts[:0]
-	for i := 0; i < len(s.pts); i += 2 {
-		kept = append(kept, s.pts[i])
-	}
-	s.pts = kept
-	if s.stride < 1 {
-		s.stride = 1
-	}
-	s.stride *= 2
-}
-
-// Sample appends one (t, v) point, subject to the decimation stride
-// when the series is bounded.
+// Sample appends one (t, v) point.
 func (s *Series) Sample(t, v float64) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	offered := s.n
-	s.n++
-	if s.stride > 1 && offered%s.stride != 0 {
-		s.mu.Unlock()
-		return
-	}
 	s.pts = append(s.pts, Point{T: t, V: v})
-	if s.max > 0 && len(s.pts) > s.max {
-		s.decimateLocked()
-	}
 	s.mu.Unlock()
 }
 
@@ -380,22 +327,6 @@ func (s *Series) Points() []Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Point(nil), s.pts...)
-}
-
-// Rate returns the per-interval deltas of a monotone (cumulative)
-// series: point i carries the increase since the previous sample, and
-// the first point the increase from zero. Sampling a cumulative
-// counter and reading Rate is therefore equivalent to sampling the
-// per-interval rate directly; the timestamps are unchanged.
-func (s *Series) Rate() []Point {
-	pts := s.Points()
-	var prev float64
-	for i := range pts {
-		v := pts[i].V
-		pts[i].V = v - prev
-		prev = v
-	}
-	return pts
 }
 
 // global is the process-wide registry used by layers with no natural

@@ -17,12 +17,3 @@ func WithDefaultWorkers(t testing.TB, n int) {
 	prev := par.SetDefaultWorkers(n)
 	t.Cleanup(func() { par.SetDefaultWorkers(prev) })
 }
-
-// WithObserver installs an engine observer for the duration of the test
-// and removes it via t.Cleanup, preventing cross-test leakage of the
-// process-wide hook.
-func WithObserver(t testing.TB, o par.Observer) {
-	t.Helper()
-	par.SetObserver(o)
-	t.Cleanup(func() { par.SetObserver(nil) })
-}
