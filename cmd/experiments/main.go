@@ -10,13 +10,13 @@
 //	experiments -extensions # run the beyond-the-paper extension studies
 //	experiments -parallel   # run independent exhibits concurrently
 //	experiments -parallel -workers 4
-//	experiments -metrics    # append per-exhibit timing + engine metrics
-//	experiments -trace      # stream span trace lines as exhibits finish
-//	experiments -trace-out f.jsonl  # record span events as JSONL (sudcmon -load)
-//	experiments -pprof localhost:6060
 //
 // -parallel produces byte-identical output to a serial run for any
 // worker count; only wall-clock time changes.
+//
+// The observability flags (-metrics, -trace, -trace-out, -pprof) are
+// shared with sudcsim and sudctool and listed once, in package
+// sudc/cmd/internal/obsflags; -metrics adds one span per exhibit.
 package main
 
 import (
@@ -26,10 +26,8 @@ import (
 	"os"
 	"strings"
 
+	"sudc/cmd/internal/obsflags"
 	"sudc/internal/experiments"
-	"sudc/internal/obs"
-	"sudc/internal/obs/trace"
-	"sudc/internal/par"
 )
 
 func main() {
@@ -48,40 +46,17 @@ func run(args []string, out io.Writer) error {
 	extensions := fs.Bool("extensions", false, "run the beyond-the-paper extension studies instead")
 	parallel := fs.Bool("parallel", false, "run independent exhibits concurrently (identical output)")
 	workers := fs.Int("workers", 0, "worker count for -parallel (default GOMAXPROCS)")
-	metrics := fs.Bool("metrics", false, "append per-exhibit timing and engine metrics")
-	traceSpans := fs.Bool("trace", false, "stream span trace lines as exhibits finish")
-	traceOut := fs.String("trace-out", "", "record span events to this JSONL file")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
+	of := obsflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var reg *obs.Registry
-	if *metrics || *traceSpans || *traceOut != "" || *pprofAddr != "" {
-		reg = obs.New()
-		if *traceSpans {
-			reg.SetTraceWriter(out)
-		}
-		// The DSE behind Figure 17 and the parallel engine report through
-		// process-wide hooks; uninstall them on return so run() stays
-		// reusable (tests call it repeatedly in one process).
-		obs.SetGlobal(reg)
-		defer obs.SetGlobal(nil)
-		par.SetObserver(obs.NewEngineMetrics(reg.Scope("par")))
-		defer par.SetObserver(nil)
+	sess, err := of.Start(out)
+	if err != nil {
+		return err
 	}
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New(0)
-		reg.SetSpanSink(rec)
-	}
-	if *pprofAddr != "" {
-		addr, err := obs.StartPprof(*pprofAddr, reg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "pprof: serving on http://%s/debug/pprof/\n", addr)
-	}
+	defer sess.Close()
+	reg := sess.Registry()
 
 	everything := append(append(experiments.All(), experiments.Ablations()...),
 		experiments.Extensions()...)
@@ -90,7 +65,7 @@ func run(args []string, out io.Writer) error {
 		for _, e := range everything {
 			fmt.Fprintf(out, "%-13s %s\n", e.ID, e.Name)
 		}
-		return nil
+		return sess.Finish()
 	}
 
 	toRun := experiments.All()
@@ -123,10 +98,7 @@ func run(args []string, out io.Writer) error {
 		for _, tbl := range tables {
 			fmt.Fprintln(out, tbl)
 		}
-		if err := printMetrics(out, *metrics, reg); err != nil {
-			return err
-		}
-		return writeTrace(out, rec, *traceOut)
+		return sess.Finish()
 	}
 	for _, e := range toRun {
 		sp := reg.StartSpan("experiments/" + e.ID)
@@ -137,39 +109,5 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out, tbl)
 	}
-	if err := printMetrics(out, *metrics, reg); err != nil {
-		return err
-	}
-	return writeTrace(out, rec, *traceOut)
-}
-
-// writeTrace dumps the span recording as JSONL when -trace-out is set.
-func writeTrace(out io.Writer, rec *trace.Recorder, path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "trace: wrote %d events to %s\n", rec.TotalLen(), path)
-	return nil
-}
-
-// printMetrics appends the registry snapshot to the report when -metrics
-// is set. Wall-clock span durations are included: this output is for
-// humans, not golden files.
-func printMetrics(out io.Writer, enabled bool, reg *obs.Registry) error {
-	if !enabled {
-		return nil
-	}
-	_, err := fmt.Fprintf(out, "metrics:\n%s", reg.Snapshot(obs.WithWall()).String())
-	return err
+	return sess.Finish()
 }

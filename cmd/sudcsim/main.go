@@ -22,10 +22,8 @@
 //	-horizon-years y run the compressed-horizon survivability program
 //	                 instead of the DES (fleet lifecycle × degradation)
 //
-// Observability:
+// Telemetry windows and SLOs:
 //
-//	-metrics         print the run's metric snapshot (counters, queue-depth /
-//	                 availability / retry time series, latency histogram)
 //	-window m        tumbling telemetry window in minutes (0 = off; -slo
 //	                 and -watch default it to 10). Windows merge at the
 //	                 cross-cell watermark, so the stream is byte-identical
@@ -36,11 +34,11 @@
 //	                 -trace-out recordings with attributed causes
 //	-watch           print one line per completed window as the
 //	                 simulation crosses it
-//	-trace           stream span trace lines as stages complete
-//	-trace-out file  write the frame-lineage flight recording (per-frame
-//	                 lifecycle + fault events) as JSONL; analyze with sudcmon
-//	-pprof addr      serve net/http/pprof and /metrics on addr
-//	                 (e.g. localhost:6060)
+//
+// The observability flags (-metrics, -trace, -trace-out, -pprof) are
+// shared with sudctool and experiments and listed once, in package
+// sudc/cmd/internal/obsflags. sudcsim's -trace-out recording holds the
+// frame lineage and fault events next to the spans.
 package main
 
 import (
@@ -50,12 +48,11 @@ import (
 	"os"
 	"time"
 
+	"sudc/cmd/internal/obsflags"
 	"sudc/cmd/internal/scenario"
 	"sudc/internal/degrade"
 	"sudc/internal/netsim"
-	"sudc/internal/obs"
 	"sudc/internal/obs/slo"
-	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
 	"sudc/internal/placement"
 	"sudc/internal/units"
@@ -72,43 +69,29 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sudcsim", flag.ContinueOnError)
 	fs.SetOutput(out)
 	sf := scenario.Register(fs)
+	of := obsflags.Register(fs)
 	shardStats := fs.Bool("shard-stats", false, "print the sharded synchronizer summary (with -planes)")
 	throttleShed := fs.Bool("throttle-shed", false, "scale the shed threshold with the throttle multiplier")
 	deferEclipse := fs.Bool("defer-eclipse", false, "defer partial-batch timeouts past the eclipse window")
 	horizonYears := fs.Float64("horizon-years", 0, "run the compressed-horizon survivability program over this many years")
-	metrics := fs.Bool("metrics", false, "print the run's metric snapshot")
 	windowMin := fs.Float64("window", 0, "tumbling telemetry window in minutes (0 = off)")
 	sloOn := fs.Bool("slo", false, "evaluate mission SLOs per window and print the burn-rate report")
 	watch := fs.Bool("watch", false, "print one line per completed telemetry window")
-	traceSpans := fs.Bool("trace", false, "stream span trace lines as stages complete")
-	traceOut := fs.String("trace-out", "", "write the frame-lineage flight recording to this JSONL file")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var reg *obs.Registry
-	if *metrics || *traceSpans || *traceOut != "" || *pprofAddr != "" {
-		reg = obs.New()
-		if *traceSpans {
-			reg.SetTraceWriter(out)
-		}
+	sess, err := of.Start(out)
+	if err != nil {
+		return err
 	}
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New(0)
-		reg.SetSpanSink(rec)
-	}
-	if *pprofAddr != "" {
-		addr, err := obs.StartPprof(*pprofAddr, reg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "pprof: serving on http://%s/debug/pprof/\n", addr)
-	}
+	defer sess.Close()
 
 	if *horizonYears > 0 {
-		return runSurvivability(out, sf.Cal, sf.Throttle, sf.EclipseFrac, *horizonYears, sf.Seed)
+		if err := runSurvivability(out, sf.Cal, sf.Throttle, sf.EclipseFrac, *horizonYears, sf.Seed); err != nil {
+			return err
+		}
+		return sess.Finish()
 	}
 	sc, err := sf.Build()
 	if err != nil {
@@ -122,8 +105,8 @@ func run(args []string, out io.Writer) error {
 		cfg.ThrottleShed = *throttleShed
 		cfg.DeferInEclipse = *deferEclipse
 	}
-	cfg.Obs = reg.Scope("netsim")
-	cfg.Trace = rec
+	cfg.Obs = sess.Registry().Scope("netsim")
+	cfg.Trace = sess.Recorder()
 
 	if *windowMin < 0 {
 		return fmt.Errorf("sudcsim: -window must be non-negative, got %v", *windowMin)
@@ -150,7 +133,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	sp := reg.StartSpan("sudcsim/run")
+	sp := sess.Registry().StartSpan("sudcsim/run")
 	sp.SetSim(cfg.Duration.Seconds())
 	s, err := netsim.Run(cfg)
 	sp.End()
@@ -241,16 +224,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 		slo.WriteReport(out, sloCfg, wins, slo.Run(sloCfg, wins))
 	}
-	if *metrics {
-		fmt.Fprintf(out, "\nmetrics:\n%s", reg.Snapshot().String())
-	}
-	if *traceOut != "" {
-		if err := writeTrace(rec, *traceOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\ntrace: wrote %d events to %s\n", rec.TotalLen(), *traceOut)
-	}
-	return nil
+	return sess.Finish()
 }
 
 // runSurvivability executes the compressed-horizon program: the
@@ -279,17 +253,4 @@ func runSurvivability(out io.Writer, cal degrade.Calibration, severity, eclipseF
 			y.Year, y.MeanOperational, 100*y.Availability, y.MeanCapacity)
 	}
 	return nil
-}
-
-// writeTrace dumps the flight recording as JSONL to path.
-func writeTrace(rec *trace.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

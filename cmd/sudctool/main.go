@@ -17,11 +17,12 @@
 //	-seer            price with the SEER-like parameter set instead
 //	-units n         also price a production run of n units (Wright b=0.75)
 //	-json            emit a machine-readable JSON report instead of text
-//	-metrics         append design/cost gauges and stage timings
-//	-trace           stream span trace lines as stages complete
-//	-trace-out file  record span events to a JSONL file (sudcmon -load)
-//	-pprof addr      serve net/http/pprof and /metrics on addr
-//	                 (e.g. localhost:6060)
+//
+// The observability flags (-metrics, -trace, -trace-out, -pprof) are
+// shared with sudcsim and experiments and listed once, in package
+// sudc/cmd/internal/obsflags; -metrics adds the design/* gauges to the
+// snapshot. With -json their output goes to stderr, so stdout holds
+// exactly one JSON document.
 package main
 
 import (
@@ -32,11 +33,10 @@ import (
 	"os"
 	"strings"
 
+	"sudc/cmd/internal/obsflags"
 	"sudc/internal/compress"
 	"sudc/internal/core"
 	"sudc/internal/hardware"
-	"sudc/internal/obs"
-	"sudc/internal/obs/trace"
 	"sudc/internal/orbit"
 	"sudc/internal/sscm"
 	"sudc/internal/units"
@@ -44,13 +44,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "sudctool:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// run writes the report to out. Observability output goes to out too,
+// except under -json, where it goes to errOut.
+func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("sudctool", flag.ContinueOnError)
 	fs.SetOutput(out)
 	powerKW := fs.Float64("power", 4, "compute power budget in kW")
@@ -63,33 +65,21 @@ func run(args []string, out io.Writer) error {
 	seer := fs.Bool("seer", false, "use the SEER-like cost parameter set")
 	nUnits := fs.Int("units", 1, "production run length for Wright's-law pricing")
 	asJSON := fs.Bool("json", false, "emit a machine-readable JSON report")
-	metrics := fs.Bool("metrics", false, "append design/cost gauges and stage timings")
-	traceSpans := fs.Bool("trace", false, "stream span trace lines as stages complete")
-	traceOut := fs.String("trace-out", "", "record span events to this JSONL file")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
+	of := obsflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var reg *obs.Registry
-	if *metrics || *traceSpans || *traceOut != "" || *pprofAddr != "" {
-		reg = obs.New()
-		if *traceSpans {
-			reg.SetTraceWriter(out)
-		}
+	obsOut := out
+	if *asJSON {
+		obsOut = errOut
 	}
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New(0)
-		reg.SetSpanSink(rec)
+	sess, err := of.Start(obsOut)
+	if err != nil {
+		return err
 	}
-	if *pprofAddr != "" {
-		addr, err := obs.StartPprof(*pprofAddr, reg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "pprof: serving on http://%s/debug/pprof/\n", addr)
-	}
+	defer sess.Close()
+	reg := sess.Registry()
 
 	cfg := core.DefaultConfig(units.KW(*powerKW))
 	cfg.Lifetime = units.Years(*lifetime)
@@ -131,10 +121,7 @@ func run(args []string, out io.Writer) error {
 		if err := writeJSON(out, cfg, d); err != nil {
 			return err
 		}
-		if err := printMetrics(out, *metrics, reg); err != nil {
-			return err
-		}
-		return writeTrace(out, rec, *traceOut)
+		return sess.Finish()
 	}
 
 	fmt.Fprintf(out, "SµDC design — %s compute (%s), %s, %v lifetime\n\n",
@@ -176,40 +163,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  %d-unit run (b=0.75): total %s, marginal unit %s\n",
 			*nUnits, tot.NRE+cum, last)
 	}
-	if err := printMetrics(out, *metrics, reg); err != nil {
-		return err
-	}
-	return writeTrace(out, rec, *traceOut)
-}
-
-// writeTrace dumps the span recording as JSONL when -trace-out is set.
-func writeTrace(out io.Writer, rec *trace.Recorder, path string) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\ntrace: wrote %d events to %s\n", rec.TotalLen(), path)
-	return nil
-}
-
-// printMetrics appends the registry snapshot when -metrics is set. Wall
-// span durations are included: this output is for humans, not goldens.
-func printMetrics(out io.Writer, enabled bool, reg *obs.Registry) error {
-	if !enabled {
-		return nil
-	}
-	_, err := fmt.Fprintf(out, "\nmetrics:\n%s", reg.Snapshot(obs.WithWall()).String())
-	return err
+	return sess.Finish()
 }
 
 // jsonReport is the machine-readable output of -json.
