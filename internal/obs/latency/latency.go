@@ -384,17 +384,15 @@ type Interval struct {
 	Kind  string
 	Node  int
 	Cause string
-	// FramesStalled counts frames whose recorded causes name this
-	// window (only outage and death windows carry per-frame tags).
-	FramesStalled int
 }
 
 // Duration is the window length.
 func (iv Interval) Duration() float64 { return iv.End - iv.Start }
 
 // DegradedIntervals reconstructs the fault windows of one scope's
-// events, sorted by start time, with per-window stalled-frame counts
-// from the frame decomposition. horizon clips open-ended windows.
+// events, sorted by start time. horizon clips open-ended windows. The
+// frames a window stalled are those of the scope's decomposition whose
+// Causes name the window's Cause.
 func DegradedIntervals(events []trace.Event, horizon float64) []Interval {
 	var out []Interval
 	open := map[string]int{} // outage cause -> index in out
@@ -448,15 +446,6 @@ func DegradedIntervals(events []trace.Event, horizon float64) []Interval {
 				brownIdx = -1
 			}
 		}
-	}
-	counts := map[string]int{}
-	for _, f := range Decompose(events) {
-		for _, c := range f.Causes {
-			counts[c]++
-		}
-	}
-	for i := range out {
-		out[i].FramesStalled = counts[out[i].Cause]
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
