@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"sudc/cmd/internal/obsflags"
@@ -134,7 +135,9 @@ func run(args []string, out io.Writer) error {
 	frames := latency.DecomposeAll(rec)
 	analyze(out, rec, frames, horizon, *topK, workers, need, desAvty)
 	if *sloReport {
-		sloSection(out, rec, frames, *windowMin*60, horizon, workers, need, *topK)
+		if err := sloSection(out, rec, frames, *windowMin*60, horizon, workers, need, *topK); err != nil {
+			return err
+		}
 	}
 
 	if *jsonlOut != "" {
@@ -321,15 +324,27 @@ func describe(e trace.Event) string {
 	}
 }
 
+// checkWindows rejects a window width that cuts a recording's horizon
+// into more than window.MaxWindows windows.
+func checkWindows(width, horizon float64) error {
+	if n := math.Ceil(horizon / width); n > window.MaxWindows {
+		return fmt.Errorf("-window %v cuts the %.0f s recording into %.0f windows, above %d", width/60, horizon, n, window.MaxWindows)
+	}
+	return nil
+}
+
 // sloSection rebuilds the windowed telemetry from the recording and
 // prints the SLO report plus a drill-down into the worst window's
 // slowest frames, taken from the recording's decomposed frames.
-func sloSection(out io.Writer, rec *trace.Recorder, frames []latency.Frame, width, horizon float64, workers, need, topK int) {
+func sloSection(out io.Writer, rec *trace.Recorder, frames []latency.Frame, width, horizon float64, workers, need, topK int) error {
+	if err := checkWindows(width, horizon); err != nil {
+		return err
+	}
 	wins := slo.WindowsFromTrace(rec, width, horizon, workers, need)
 	fmt.Fprintln(out)
 	if len(wins) == 0 {
 		fmt.Fprintln(out, "SLO report: the recording has no frame events to window")
-		return
+		return nil
 	}
 	cfg := slo.DefaultConfig()
 	rep := slo.Run(cfg, wins)
@@ -368,6 +383,7 @@ func sloSection(out io.Writer, rec *trace.Recorder, frames []latency.Frame, widt
 			1e3*f.Stages[latency.StageRetryBackoff], 1e3*f.Stages[latency.StageCompute],
 			1e3*f.Stages[latency.StageDownlinkWait], latency.FormatCauses(f.Causes))
 	}
+	return nil
 }
 
 // runDiff compares two recordings window by window: counter and metric
@@ -382,8 +398,14 @@ func runDiff(out io.Writer, pathA, pathB string, width float64, workers, need in
 	if err != nil {
 		return err
 	}
-	winsA := slo.WindowsFromTrace(recA, width, lastEventTime(recA), workers, need)
-	winsB := slo.WindowsFromTrace(recB, width, lastEventTime(recB), workers, need)
+	hA, hB := lastEventTime(recA), lastEventTime(recB)
+	for _, h := range []float64{hA, hB} {
+		if err := checkWindows(width, h); err != nil {
+			return err
+		}
+	}
+	winsA := slo.WindowsFromTrace(recA, width, hA, workers, need)
+	winsB := slo.WindowsFromTrace(recB, width, hB, workers, need)
 	fmt.Fprintf(out, "diff %s (%d windows) → %s (%d windows), %.0f s windows\n\n",
 		pathA, len(winsA), pathB, len(winsB), width)
 

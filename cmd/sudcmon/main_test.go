@@ -337,6 +337,23 @@ func TestDiffArgumentErrors(t *testing.T) {
 	}
 }
 
+func TestTooManyWindowsRejected(t *testing.T) {
+	// 4.8 ms windows cut a 0.1 h recording into ~75,000 windows, above
+	// window.MaxWindows; both window-rebuilding paths refuse the width
+	// before rebuilding.
+	var b strings.Builder
+	err := run([]string{"-slo-report", "-window", "8e-5", "-satellites", "2", "-hours", "0.1"}, &b)
+	if err == nil || !strings.Contains(err.Error(), "windows") {
+		t.Errorf("-slo-report -window 8e-5 = %v, want a window-count error", err)
+	}
+	a := filepath.Join(t.TempDir(), "a.jsonl")
+	runMon(t, "-satellites", "2", "-hours", "0.1", "-jsonl", a)
+	err = run([]string{"-diff", "-window", "8e-5", a, a}, &b)
+	if err == nil || !strings.Contains(err.Error(), "windows") {
+		t.Errorf("-diff -window 8e-5 = %v, want a window-count error", err)
+	}
+}
+
 func TestPlacementTierCounts(t *testing.T) {
 	out := runMon(t, "-hours", "0.5", "-placement", "static-cloud", "-top", "1")
 	if !strings.Contains(out, "placement tiers:") || !strings.Contains(out, "cloud") {

@@ -382,6 +382,16 @@ func TestNegativeWindowRejected(t *testing.T) {
 	}
 }
 
+func TestTooManyWindowsRejected(t *testing.T) {
+	// 4.8 ms windows cut 6 simulated minutes into 75,000 windows, above
+	// window.MaxWindows; the run is refused before it allocates them.
+	var b strings.Builder
+	err := run([]string{"-window", "8e-5", "-satellites", "2", "-hours", "0.1"}, &b)
+	if err == nil || !strings.Contains(err.Error(), "windows") {
+		t.Errorf("-window 8e-5 over 0.1 h = %v, want a window-count error", err)
+	}
+}
+
 func TestUsageGolden(t *testing.T) {
 	// -h prints every flag's name, default and help line; the golden
 	// pins the flag set. Regenerate with:

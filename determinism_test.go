@@ -455,18 +455,29 @@ func TestShardedTopologyInvariantUnderShardCount(t *testing.T) {
 	cots := degrade.COTSProfile(0.75)
 	degraded.Degrade = &cots
 
+	// With windows on, each cell's series points are taken where its
+	// collector closes a window: in the cell's own event loop or at the
+	// runner's cross-cell watermark, one point per 10-minute window.
+	windowed := degraded
+	windowed.Window = 10 * time.Minute
+
 	for _, tc := range []struct {
-		name string
-		cfg  netsim.Config
+		name   string
+		cfg    netsim.Config
+		series string // a series line the snapshot must hold
 	}{
-		{"fault-free", base},
-		{"faulted", faulted},
-		{"degraded", degraded},
+		{"fault-free", base, "series netsim/c000/retries n=30:"},
+		{"faulted", faulted, "series netsim/c000/retries n=30:"},
+		{"degraded", degraded, "series netsim/c000/retries n=120:"},
+		{"windowed", windowed, "series netsim/c003/retries n=12:"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			refStats, refSnap, refJSONL, refChrome := shardExports(t, tc.cfg, 1)
 			if refStats.CrossShardFrames == 0 {
 				t.Fatal("scenario produced no cross-shard traffic — the synchronizer is not exercised")
+			}
+			if !strings.Contains(refSnap, tc.series) {
+				t.Fatalf("snapshot lacks %q:\n%.400s", tc.series, refSnap)
 			}
 			if !strings.Contains(refSnap, "netsim/c000/") || !strings.Contains(refSnap, "netsim/c003/") {
 				t.Fatalf("per-cell scopes missing from snapshot:\n%.400s", refSnap)

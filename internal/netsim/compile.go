@@ -165,10 +165,15 @@ func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg 
 	}
 	s.totalSats = p.sats
 	s.setPlacement(c.Placement, cells)
-	if c.Window > 0 {
-		// The cell collects its own fragments; the shard runner owns the
-		// merger (see newShardRunner for the lone-cell case).
-		s.win = window.NewCollector(c.Window.Seconds(), cell)
+	// The cell collects its own fragments; the shard runner owns the
+	// merger (see newShardRunner for the lone-cell case). An Obs-only
+	// run collects one-minute windows for its series alone.
+	width := c.Window
+	if width == 0 && c.Obs != nil {
+		width = sampleEvery
+	}
+	if width > 0 {
+		s.win = window.NewCollector(width.Seconds(), cell)
 	}
 	s.frameID = int64(cell) << frameIDBits
 
@@ -222,7 +227,7 @@ func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg 
 	s.sizeLatencies(p.sats)
 
 	if c.Obs != nil {
-		s.rec = newRecorder(c.Obs, s)
+		s.rec = newRecorder(c.Obs, s, width.Seconds())
 	}
 	s.seedEvents(sched)
 	if s.deg != nil {

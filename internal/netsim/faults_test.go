@@ -155,8 +155,6 @@ func TestRetryLimitLosesFrames(t *testing.T) {
 	c := DefaultConfig(mustApp(t, "Flood Detection"))
 	c.Duration = time.Hour
 	c.RetryLimit = 1
-	c.RetryBackoff = time.Second
-	c.RetryBackoffCap = 2 * time.Second
 	c.Faults = faults.Scenario{ISLOutageMTBF: 10 * time.Minute, ISLOutageDuration: 3 * time.Minute}
 	s, err := Run(c)
 	if err != nil {
@@ -272,9 +270,6 @@ func TestValidateFaultFields(t *testing.T) {
 		{"negative need", func(c *Config) { c.NeedWorkers = -1 }},
 		{"need beyond workers", func(c *Config) { c.NeedWorkers = c.Workers + 1 }},
 		{"negative retries", func(c *Config) { c.RetryLimit = -1 }},
-		{"negative backoff", func(c *Config) { c.RetryBackoff = -time.Second }},
-		{"negative cap", func(c *Config) { c.RetryBackoffCap = -time.Second }},
-		{"backoff beyond cap", func(c *Config) { c.RetryBackoff = 2 * c.RetryBackoffCap }},
 		{"shed below ShedAll", func(c *Config) { c.ShedThreshold = ShedAll - 1 }},
 	}
 	for _, tt := range tests {

@@ -8,8 +8,8 @@ import (
 	"sudc/internal/placement"
 )
 
-// sampleEvery is the simulated-time sampling period of the
-// observability time series.
+// sampleEvery is the window width an Obs-only run (Config.Window
+// zero) collects its series on.
 const sampleEvery = time.Minute
 
 // backoffBuckets are the retry-backoff histogram bounds, in seconds. The
@@ -41,29 +41,26 @@ var eventNames = [...]string{
 }
 
 // recorder writes one run's observability stream: per-event counters,
-// the latency and retry-backoff histograms, and time series sampled on
-// a fixed simulated-time grid. Because every sample is keyed to the
-// simulated clock, a run's recorded stream is byte-identical for any
-// process worker count — the determinism contract of PR 1/2 extends to
-// the metrics.
+// the latency and retry-backoff histograms, and one point per series
+// each time the cell's window collector closes a whole window. Because
+// every point is keyed to the simulated clock, a run's recorded stream
+// is byte-identical for any process worker count: the determinism
+// contract of the runs extends to the metrics.
 type recorder struct {
-	sim  *simulator
-	next float64 // next grid point to sample, simulated seconds
+	sim   *simulator
+	width float64 // window width, simulated seconds
 
 	queueDepth *obs.Series
 	islDepth   []*obs.Series // one per ISL edge, named "isl/<from>-<to>"
 	backlog    *obs.Series
 	effective  *obs.Series
 	avail      *obs.Series
-	// retried and shed are per-interval rate series: each sample is the
-	// count of new retries/sheds since the previous grid point (the
+	// retried and shed count the window's new retries/sheds (the
 	// README's "retry and shed rate" reading), so spikes localize to
-	// their grid interval. Cumulative totals live in the frames/retried
-	// and frames/shed counters.
-	retried     *obs.Series
-	shed        *obs.Series
-	prevRetried int
-	prevShed    int
+	// their window. Cumulative totals live in the frames/retried and
+	// frames/shed counters.
+	retried *obs.Series
+	shed    *obs.Series
 
 	latency *obs.Histogram
 	backoff *obs.Histogram
@@ -80,13 +77,14 @@ type recorder struct {
 	dlDepth *obs.Series
 }
 
-// newRecorder builds the run's recorder. The caller configures the
-// simulator's link array first: the per-edge ISL depth series are laid
-// out one per link, in link order.
-func newRecorder(reg *obs.Registry, sim *simulator) *recorder {
+// newRecorder builds the run's recorder for windows of the given width
+// in simulated seconds. The caller configures the simulator's link
+// array first: the per-edge ISL depth series are laid out one per
+// link, in link order.
+func newRecorder(reg *obs.Registry, sim *simulator, width float64) *recorder {
 	r := &recorder{
 		sim:        sim,
-		next:       sampleEvery.Seconds(),
+		width:      width,
 		queueDepth: reg.Series("queue/depth"),
 		backlog:    reg.Series("backlog"),
 		effective:  reg.Series("workers/effective"),
@@ -110,11 +108,14 @@ func newRecorder(reg *obs.Registry, sim *simulator) *recorder {
 	return r
 }
 
-// record samples every series at grid point t, reading the simulator
-// state valid since the previously applied event: the availability
-// integral runs over [0, t], and the backlog counts frames in flight
+// record appends one point per series at the end t of the closed
+// window f. Availability, retries and shed are the window's own: its
+// UpSec/WeightSec and its retried and shed counts. The gauges read the
+// cell state at t, which has been constant since the cell's previous
+// event, so the reading is exact; the backlog counts frames in flight
 // anywhere in the cell's pipeline.
-func (r *recorder) record(t float64) {
+func (r *recorder) record(f *window.Fragment) {
+	t := float64(f.Index+1) * r.width
 	s := r.sim
 	input := 0
 	for i := range s.sudcs {
@@ -129,41 +130,15 @@ func (r *recorder) record(t float64) {
 	r.backlog.Sample(t, float64(st.FramesGenerated+s.crossRecv-s.crossSent-
 		st.FramesProcessed-st.FramesShed-st.FramesLost))
 	r.effective.Sample(t, float64(s.effective))
-	up := s.upTime
-	if s.effective >= s.need && t > s.lastT {
-		up += t - s.lastT
-	}
-	avail := 1.0
-	if t > 0 {
-		avail = up / t
-	}
-	r.avail.Sample(t, avail)
-	r.retried.Sample(t, float64(st.FramesRetried-r.prevRetried))
-	r.prevRetried = st.FramesRetried
-	r.shed.Sample(t, float64(st.FramesShed-r.prevShed))
-	r.prevShed = st.FramesShed
+	r.avail.Sample(t, f.Availability())
+	r.retried.Sample(t, float64(f.Counts[window.CntRetried]))
+	r.shed.Sample(t, float64(f.Counts[window.CntShed]))
 	if r.rateMult != nil {
 		r.rateMult.Sample(t, s.rateMult)
 		r.powered.Sample(t, float64(s.totalWorkers-s.browned))
 	}
 	if r.dlDepth != nil {
 		r.dlDepth.Sample(t, float64(s.dlQueue.len()))
-	}
-}
-
-// catchUp samples every grid point strictly before simulated time t.
-func (r *recorder) catchUp(t float64) {
-	for r.next < t {
-		r.record(r.next)
-		r.next += sampleEvery.Seconds()
-	}
-}
-
-// finish samples the remaining grid points through the horizon.
-func (r *recorder) finish(horizon float64) {
-	for r.next <= horizon {
-		r.record(r.next)
-		r.next += sampleEvery.Seconds()
 	}
 }
 

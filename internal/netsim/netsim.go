@@ -85,13 +85,10 @@ type Config struct {
 	// NeedWorkers to the sized need and Workers to need + spares.
 	NeedWorkers int
 	// RetryLimit caps failed ISL transmission attempts per frame before
-	// the frame is dropped as lost (0 = retry forever).
+	// the frame is dropped as lost (0 = retry forever). The first retry
+	// waits 2 s; each further failed attempt doubles the wait, up to
+	// 60 s.
 	RetryLimit int
-	// RetryBackoff is the delay before the first ISL retry; it doubles
-	// per failed attempt, capped at RetryBackoffCap. Zero values default
-	// to 2 s and 60 s.
-	RetryBackoff    time.Duration
-	RetryBackoffCap time.Duration
 	// ShedThreshold sheds the lowest-value queued frame whenever the
 	// input queue grows beyond it. The zero value disables shedding;
 	// use ShedAll (-1) for an explicit threshold of zero, which sheds
@@ -100,11 +97,14 @@ type Config struct {
 
 	// Obs, when non-nil, receives this run's observability stream:
 	// frame counters, the latency and retry-backoff histograms, and
-	// queue-depth/backlog/retry/shed/availability time series sampled
-	// on the simulated clock every minute. Because sampling is
-	// keyed to simulated time only, the stream is byte-identical for
-	// any process worker count. Each run needs its own registry or
-	// scope; RunReplicas scopes one per replica automatically.
+	// queue-depth/backlog/retry/shed/availability time series with one
+	// point per whole window (every Window, or every simulated minute
+	// when Window is zero). availability, retries and shed are the
+	// window's own; the depth gauges read the state at the window's end.
+	// Because every point is keyed to simulated time only, the stream is
+	// byte-identical for any process worker count. Each run needs its
+	// own registry or scope; RunReplicas scopes one per replica
+	// automatically.
 	Obs *obs.Registry
 
 	// Topology is the constellation graph the run simulates: frames
@@ -217,8 +217,6 @@ func DefaultConfig(app workload.App) Config {
 		Duration:        2 * time.Hour,
 		Seed:            1,
 		RetryLimit:      8,
-		RetryBackoff:    2 * time.Second,
-		RetryBackoffCap: time.Minute,
 	}
 }
 
@@ -296,15 +294,6 @@ func (c Config) Validate() error {
 	if c.RetryLimit < 0 {
 		return errors.New("netsim: negative retry limit")
 	}
-	if c.RetryBackoff < 0 {
-		return errors.New("netsim: negative retry backoff")
-	}
-	if c.RetryBackoffCap < 0 {
-		return errors.New("netsim: negative retry backoff cap")
-	}
-	if c.RetryBackoffCap > 0 && c.RetryBackoff > c.RetryBackoffCap {
-		return errors.New("netsim: retry backoff exceeds its cap")
-	}
 	if c.ShedThreshold < ShedAll {
 		return fmt.Errorf("netsim: shed threshold %d below ShedAll (%d)", c.ShedThreshold, ShedAll)
 	}
@@ -323,6 +312,10 @@ func (c Config) Validate() error {
 	}
 	if c.Window < 0 {
 		return errors.New("netsim: negative window width")
+	}
+	// Window cuts Duration into ceil(Duration/Window) windows.
+	if c.Window > 0 && (c.Duration-1)/c.Window+1 > window.MaxWindows {
+		return fmt.Errorf("netsim: window %v cuts the %v run into more than %d windows", c.Window, c.Duration, window.MaxWindows)
 	}
 	if c.OnWindow != nil && c.Window <= 0 {
 		return errors.New("netsim: OnWindow requires a positive Window")

@@ -500,7 +500,7 @@ func (r *shardRunner) flushWindows() {
 		return
 	}
 	for _, s := range r.sims {
-		s.win.Advance(wm, s.winEnv())
+		s.advanceWindows(wm)
 		for _, f := range s.win.Drain() {
 			r.winM.Add(f)
 		}

@@ -107,7 +107,7 @@ type shardMsg struct {
 // Each lifecycle point has one method that updates Stats and fans out
 // to every enabled sink — the obs recorder (rec), the flight recorder
 // (tr), and the window collector (win) — each behind one nil check:
-// advance (clock, occupancy, sampler, event counts), deliver (ISL
+// advance (clock, occupancy, windows, event counts), deliver (ISL
 // enqueue or SµDC arrival), complete (a computed frame), strand (a
 // batch returned for re-dispatch), and serve/served (placement tiers).
 type simulator struct {
@@ -121,9 +121,6 @@ type simulator struct {
 	need         int
 	totalWorkers int
 	totalSats    int
-	backoffBase  float64
-	backoffCap   float64
-	capDoublings int
 	shedEnabled  bool
 	shedLimit    int
 	batchTimeout float64
@@ -213,11 +210,13 @@ type simulator struct {
 	browned      int     // workers currently parked by a brownout
 	brownoutIdx  int     // brownout ordinal, for cause attribution
 
-	// Windowed telemetry (win == nil when Config.Window is zero; every
-	// hot-path hook then reduces to one nil check). A lone cell shares
-	// the shard runner's merger in winM and flushes it live at each
-	// event; cells of a multi-cell graph leave winM nil and the runner
-	// drains their collectors at the cross-cell watermark.
+	// Windowed telemetry (win == nil when Config.Window is zero and Obs
+	// is nil; every hot-path hook then reduces to one nil check). An
+	// Obs-only run collects one-minute windows for the recorder alone.
+	// A lone cell shares the shard runner's merger in winM and flushes
+	// it live at each event; cells of a multi-cell graph leave winM nil
+	// and the runner drains their collectors at the cross-cell
+	// watermark.
 	win       *window.Collector
 	winM      *window.Merger
 	downLinks int            // ISL edges currently in outage
@@ -301,28 +300,6 @@ func (s *simulator) resetCommon(c Config, workers int) {
 	s.nodePixSec = c.App.KPixelPerJoule * 1e3 * float64(c.App.GPUPower)
 	s.framePixels = c.App.FrameMPixels * 1e6 * (1 - c.Constellation.FilterRate)
 
-	s.backoffBase = c.RetryBackoff.Seconds()
-	if s.backoffBase <= 0 {
-		s.backoffBase = 2
-	}
-	s.backoffCap = c.RetryBackoffCap.Seconds()
-	if s.backoffCap < s.backoffBase {
-		s.backoffCap = 60
-	}
-	if s.backoffCap < s.backoffBase {
-		s.backoffCap = s.backoffBase
-	}
-	// capDoublings is the attempt count at which the exponential backoff
-	// saturates at its cap. Clamping the exponent *before* the doubling
-	// is applied guards the float64 math: under RetryLimit 0 a frame can
-	// accumulate thousands of failed attempts across a long ISL outage,
-	// and an unguarded 2^(tries-1) overflows to +Inf — one zero or NaN
-	// ingredient away from a corrupted event timestamp that would break
-	// the event-queue ordering.
-	s.capDoublings = int(math.Ceil(math.Log2(s.backoffCap / s.backoffBase)))
-	if s.capDoublings < 0 {
-		s.capDoublings = 0
-	}
 	s.shedEnabled = c.ShedThreshold != 0
 	s.shedLimit = c.ShedThreshold
 	if c.ShedThreshold == ShedAll {
@@ -557,14 +534,9 @@ func (s *simulator) advance(t float64, kind int) {
 	}
 }
 
-// accrue brings every time integral up to t. The series sampler first
-// catches up on the grid points before t, reading the state valid
-// since the previous event; then availability, occupancy, and windows
-// integrate over the constant span [lastT, t).
+// accrue brings every time integral up to t: availability,
+// occupancy, and windows integrate over the constant span [lastT, t).
 func (s *simulator) accrue(t float64) {
-	if s.rec != nil {
-		s.rec.catchUp(t)
-	}
 	if dt := t - s.lastT; dt > 0 {
 		if s.effective >= s.need {
 			s.upTime += dt
@@ -590,13 +562,31 @@ func (s *simulator) accrue(t float64) {
 		// flushes closed windows immediately — its watermark is its own
 		// clock; cells of a multi-cell graph hold fragments for the shard
 		// runner's cross-cell watermark.
-		if s.win.Advance(t, s.winEnv()) > 0 && s.winM != nil {
+		if len(s.advanceWindows(t)) > 0 && s.winM != nil {
 			for _, f := range s.win.Drain() {
 				s.winM.Add(f)
 			}
 			s.winM.Flush(t)
 		}
 	}
+}
+
+// advanceWindows brings the window collector up to t and returns the
+// fragments that closed. Each closed window is one point of every obs
+// series, so the collector is the run's only simulated-time grid. An
+// Obs-only run (Window zero) has no merger to fold its fragments into,
+// so they are dropped once recorded.
+func (s *simulator) advanceWindows(t float64) []window.Fragment {
+	closed := s.win.Advance(t, s.winEnv())
+	if s.rec != nil && len(closed) > 0 {
+		for i := range closed {
+			s.rec.record(&closed[i])
+		}
+		if s.c.Window == 0 {
+			s.win.Drain()
+		}
+	}
+	return closed
 }
 
 // winEnv snapshots the cell environment for window occupancy. Valid
@@ -613,14 +603,14 @@ func (s *simulator) winEnv() window.Env {
 	}
 }
 
-// closeWindows finalizes the window stream after finish(): occupancy
-// runs out to the horizon, the trailing partial window closes, and
-// every remaining fragment folds into the merger.
+// closeWindows finalizes the window stream after finish(), which has
+// already advanced the collector to the horizon: the trailing partial
+// window closes, and every remaining fragment folds into the merger m
+// (nil when Window is zero).
 func (s *simulator) closeWindows(m *window.Merger) {
-	if s.win == nil {
+	if m == nil {
 		return
 	}
-	s.win.Advance(s.horizon, s.winEnv())
 	s.win.Close()
 	for _, f := range s.win.Drain() {
 		m.Add(f)
@@ -636,16 +626,28 @@ func (s *simulator) recount() {
 	}
 }
 
-func (s *simulator) backoff(tries int) float64 {
-	k := tries - 1
-	if k >= s.capDoublings {
-		return s.backoffCap
+// The first ISL retry waits retryBackoff seconds; each further failed
+// attempt doubles the wait, up to retryBackoffCap.
+const (
+	retryBackoff    = 2.0
+	retryBackoffCap = 60.0
+	// backoffDoublings is the attempt count at which the doubling
+	// reaches the cap: 2 s · 2^5 = 64 s ≥ 60 s. Clamping the exponent
+	// before the doubling guards the float64 math: under RetryLimit 0 a
+	// frame can accumulate thousands of failed attempts across a long
+	// ISL outage, and an unguarded 2^(tries-1) overflows to +Inf, one
+	// zero or NaN ingredient away from a corrupted event timestamp that
+	// would break the event-queue ordering.
+	backoffDoublings = 5
+)
+
+// backoff is the delay before the retry that follows a frame's
+// tries-th failed attempt, in seconds.
+func backoff(tries int) float64 {
+	if k := tries - 1; k < backoffDoublings {
+		return math.Ldexp(retryBackoff, k)
 	}
-	d := math.Ldexp(s.backoffBase, k)
-	if d > s.backoffCap {
-		d = s.backoffCap
-	}
-	return d
+	return retryBackoffCap
 }
 
 // failHead records a failed transmission attempt for link ei's head
@@ -670,7 +672,7 @@ func (s *simulator) failHead(ei int) {
 	s.stats.FramesRetried++
 	s.win.Count(window.CntRetried, 1)
 	l.retryArmed = true
-	delay := s.backoff(f.tries)
+	delay := backoff(f.tries)
 	if s.rec != nil {
 		s.rec.backoff.Observe(delay)
 	}
@@ -1199,14 +1201,9 @@ func (s *simulator) apply(e event) {
 	}
 }
 
-// finish drains the sampling grid, closes the availability integral, and
-// assembles the run's Stats.
+// finish closes every time integral at the horizon and assembles the
+// run's Stats.
 func (s *simulator) finish() Stats {
-	if s.rec != nil {
-		// Sample the remaining grid points before the final accrual so
-		// the availability integral at each point covers exactly [0, t].
-		s.rec.finish(s.horizon)
-	}
 	s.accrue(s.horizon)
 
 	stats := s.stats

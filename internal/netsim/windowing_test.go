@@ -7,14 +7,19 @@ package netsim
 // non-empty attributed cause.
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"sudc/internal/degrade"
+	"sudc/internal/faults"
 	"sudc/internal/obs"
 	"sudc/internal/obs/slo"
 	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
+	"sudc/internal/topo"
+	"sudc/internal/workload"
 )
 
 // windowConfig is the shared degraded+faulted two-satellite star with
@@ -127,6 +132,46 @@ func TestWindowStreamReconcilesWithStats(t *testing.T) {
 			total.EclipseSec, total.ThrottleSec)
 	}
 
+	// The obs series are taken on the same grid: one point per window,
+	// at its end. availability, retries and shed are the window's own
+	// values, bit for bit.
+	snap := reg.Snapshot()
+	series := map[string][]obs.Point{}
+	for _, sv := range snap.Series {
+		series[sv.Name] = sv.Points
+		if len(sv.Points) != len(wins) {
+			t.Errorf("series %s has %d points, want one per window (%d)", sv.Name, len(sv.Points), len(wins))
+			continue
+		}
+		for i, p := range sv.Points {
+			if p.T != wins[i].End {
+				t.Errorf("series %s point %d at %v s, want the window end %v s", sv.Name, i, p.T, wins[i].End)
+			}
+		}
+	}
+	var upSec, sec float64
+	for i, w := range wins {
+		for _, tc := range []struct {
+			name string
+			want float64
+		}{
+			{"availability", w.Availability()},
+			{"retries", float64(w.Counts[window.CntRetried])},
+			{"shed", float64(w.Counts[window.CntShed])},
+		} {
+			if pts := series[tc.name]; i < len(pts) && pts[i].V != tc.want {
+				t.Errorf("w%d %s point = %v, want the window's %v", w.Index, tc.name, pts[i].V, tc.want)
+			}
+		}
+		if pts := series["availability"]; i < len(pts) {
+			upSec += pts[i].V * w.Sec
+			sec += w.Sec
+		}
+	}
+	if mean := upSec / sec; math.Abs(mean-s.Availability) > 1e-12 {
+		t.Errorf("Sec-weighted mean of the availability points %v, want Stats.Availability %v", mean, s.Availability)
+	}
+
 	// The sinks must not perturb the simulation itself.
 	plain := brownoutConfig()
 	plain.Window = 0
@@ -136,6 +181,80 @@ func TestWindowStreamReconcilesWithStats(t *testing.T) {
 	}
 	if ps != s {
 		t.Error("enabling windows, obs, and trace must not change simulation results")
+	}
+}
+
+func TestCellSeriesSumToMergedWindows(t *testing.T) {
+	// On a multi-cell graph each cell records its own series, taking
+	// each point where its collector closes the window: in the cell's
+	// event loop or at the runner's cross-cell watermark. Either way a
+	// cell's retries and shed points count that cell's share of the
+	// window, so across cells they sum to the merged window's counts.
+	g, err := topo.Walker(4, 8, 5, 2, 250*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := TopologyConfig(workload.Suite[0], g)
+	c.BatchSize = 4
+	c.BatchTimeout = 30 * time.Second
+	c.Duration = 2 * time.Hour
+	c.Seed = 9
+	c.Faults = faults.Scenario{
+		NodeMTTF:          2 * time.Hour,
+		SEFIMTBE:          20 * time.Minute,
+		SEFIRecovery:      30 * time.Second,
+		ISLOutageMTBF:     30 * time.Minute,
+		ISLOutageDuration: time.Minute,
+	}
+	c.RetryLimit = 3
+	c.ShedThreshold = 10
+	p := degrade.COTSProfile(1)
+	c.Degrade = &p
+	c.Window = 10 * time.Minute
+	var wins []window.Window
+	c.OnWindow = func(w window.Window) { wins = append(wins, w) }
+	reg := obs.New()
+	c.Obs = reg
+	s, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.CrossShardFrames == 0 || s.FramesRetried == 0 || s.FramesShed == 0 {
+		t.Fatalf("scenario must cross cells, retry and shed: %+v", s)
+	}
+
+	series := map[string][]obs.Point{}
+	for _, sv := range reg.Snapshot().Series {
+		series[sv.Name] = sv.Points
+	}
+	for _, k := range []struct {
+		cnt  window.Counter
+		name string
+	}{{window.CntRetried, "retries"}, {window.CntShed, "shed"}} {
+		sums := make([]float64, len(wins))
+		for cell := 0; cell < g.Cells(); cell++ {
+			full := fmt.Sprintf("c%03d/%s", cell, k.name)
+			pts := series[full]
+			if len(pts) != len(wins) {
+				t.Fatalf("series %s has %d points, want one per window (%d)", full, len(pts), len(wins))
+			}
+			for i, p := range pts {
+				if p.T != wins[i].End {
+					t.Errorf("%s point %d at %v s, want the window end %v s", full, i, p.T, wins[i].End)
+				}
+				sums[i] += p.V
+			}
+		}
+		var total int64
+		for i, w := range wins {
+			if sums[i] != float64(w.Counts[k.cnt]) {
+				t.Errorf("w%d: per-cell %s points sum to %v, merged window counts %d", w.Index, k.name, sums[i], w.Counts[k.cnt])
+			}
+			total += w.Counts[k.cnt]
+		}
+		if total == 0 {
+			t.Errorf("no window counts %s: the check is vacuous", k.name)
+		}
 	}
 }
 
@@ -251,6 +370,10 @@ func TestWindowConfigValidation(t *testing.T) {
 		{"invalid SLO objective", func(c *Config) {
 			c.SLO = &slo.Config{Objectives: []slo.Objective{{Kind: slo.Availability, Target: 0.9}}}
 		}},
+		{"more than MaxWindows windows", func(c *Config) {
+			c.Window = time.Second
+			c.Duration = window.MaxWindows*time.Second + 1 // the last window partial
+		}},
 	}
 	for _, tc := range cases {
 		c := base
@@ -260,9 +383,17 @@ func TestWindowConfigValidation(t *testing.T) {
 		}
 	}
 
+	// Exactly MaxWindows whole windows are accepted.
+	c := base
+	c.Window = time.Second
+	c.Duration = window.MaxWindows * time.Second
+	if err := c.Validate(); err != nil {
+		t.Errorf("%d whole windows must validate: %v", window.MaxWindows, err)
+	}
+
 	// RunReplicas multiplexes runs and cannot deliver a per-run live
 	// window stream.
-	c := base
+	c = base
 	c.OnWindow = func(window.Window) {}
 	if _, err := RunReplicas(c, 2, 1); err == nil {
 		t.Error("RunReplicas must reject OnWindow")

@@ -57,10 +57,30 @@ func TestCollectorEventAtBoundaryOpensNextWindow(t *testing.T) {
 	}
 }
 
+func TestAdvanceReturnsClosedFragments(t *testing.T) {
+	c := NewCollector(10, 3)
+	if got := c.Advance(5, Env{Up: true, Weight: 1}); len(got) != 0 {
+		t.Fatalf("mid-window Advance closed %d windows", len(got))
+	}
+	got := c.Advance(32, Env{Up: true, Weight: 1})
+	if len(got) != 3 || got[0].Index != 0 || got[2].Index != 2 || got[0].Cell != 3 || got[2].Sec != 10 {
+		t.Fatalf("Advance(32) closed %+v, want whole windows 0–2 of cell 3", got)
+	}
+	// A later call returns only the windows it closed, while the buffer
+	// keeps every undrained one.
+	next := c.Advance(41, Env{})
+	if len(next) != 1 || next[0].Index != 3 || next[0].UpSec != 2 {
+		t.Fatalf("Advance(41) closed %+v, want window 3 alone", next)
+	}
+	if n := len(c.Drain()); n != 4 {
+		t.Errorf("Drain returned %d fragments, want 4", n)
+	}
+}
+
 func TestNilCollectorIsNoOp(t *testing.T) {
 	var c *Collector
-	if n := c.Advance(5, Env{Up: true}); n != 0 {
-		t.Errorf("nil Advance = %d", n)
+	if got := c.Advance(5, Env{Up: true}); got != nil {
+		t.Errorf("nil Advance = %v", got)
 	}
 	c.Count(CntShed, 1)
 	c.Latency(1)
