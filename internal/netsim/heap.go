@@ -94,7 +94,7 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// frameTimer is one satellite's pending capture, keyed (at, seq) in the
+// frameTimer is one satellite's next capture, keyed (at, seq) in the
 // same global sequence space as eventHeap. The capture timers live in
 // their own heap: they are the bulk of the resident events (one per
 // satellite, forever), while most pops come from the transient traffic

@@ -485,7 +485,7 @@ type workerState struct {
 	busy    bool
 	browned bool    // parked by an eclipse power brownout
 	gen     int     // invalidates stale evBatchDone events
-	doneAt  float64 // pending batch completion time
+	doneAt  float64 // completion time of the batch in service
 	batch   []frame // in-flight frames, for re-dispatch on death
 }
 

@@ -5,8 +5,9 @@ import "math"
 // minTree is an incremental tournament (winner) tree over float64
 // keys: the minimum is read in O(1) and a single key update costs
 // O(log n), versus the O(n) linear rescan the sharded runner used
-// before. Ties break toward the lower leaf index, which is what makes
-// the k-way outbox merge reproduce the stable sort it replaced.
+// before. Ties break toward the lower leaf index, so every read of the
+// tree — the lookahead Dijkstra's settle order included — is a pure
+// function of its keys.
 //
 // Layout: leaves are padded to a power of two (base) and keyed +Inf
 // beyond n, so every internal node always has two contestants. Node i
