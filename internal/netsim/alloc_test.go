@@ -10,7 +10,11 @@ package netsim
 // silently costing 270k allocs/run.
 
 import (
+	"fmt"
+	"runtime"
 	"runtime/debug"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,6 +49,81 @@ func starCell(t testing.TB, c Config) (*cellPlan, faults.Schedule, *degrade.Sche
 	return &plans[0], sched, deg
 }
 
+// moduleAllocs runs f once with the memory profiler sampling every
+// allocation and returns, per allocation site in this module, the
+// count and stack of the allocations f made there. A whole-run guard
+// cannot use testing.AllocsPerRun, which counts every malloc in the
+// process: the runtime's own goroutines allocate at random points of a
+// run (the unique package's post-GC map cleanup, GC mark-worker
+// sudogs, the scavenger's timer heap, allocations on a system stack),
+// so the count flakes under load and no GC setting makes it exact. A
+// site belongs to this module when the innermost frame of its stack
+// in a sudc/ package is not this profiling helper; allocations made by
+// any goroutine running module code count.
+func moduleAllocs(f func()) []string {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocSites()
+	f()
+	after := allocSites()
+	var out []string
+	for stk, n := range after {
+		if d := n - before[stk]; d > 0 && inModule(stk[:]) {
+			var b strings.Builder
+			fmt.Fprintf(&b, "%d allocation(s) at:\n", d)
+			frames := runtime.CallersFrames(stk[:])
+			for {
+				fr, more := frames.Next()
+				fmt.Fprintf(&b, "\t%s\n\t\t%s:%d\n", fr.Function, fr.File, fr.Line)
+				if !more {
+					break
+				}
+			}
+			out = append(out, b.String())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// allocSites returns each allocation site's cumulative object count.
+// The profile publishes an allocation two GC cycles after it is made,
+// hence the two collections.
+func allocSites() map[[32]uintptr]int64 {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	var recs []runtime.MemProfileRecord
+	for {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+	}
+	sites := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		sites[r.Stack0] += r.AllocObjects
+	}
+	return sites
+}
+
+// inModule reports whether the innermost sudc/ frame of an allocation
+// stack is module code other than the profiling helpers themselves.
+func inModule(stk []uintptr) bool {
+	frames := runtime.CallersFrames(stk)
+	for {
+		fr, more := frames.Next()
+		if strings.HasPrefix(fr.Function, "sudc/") {
+			return !strings.HasSuffix(fr.Function, ".allocSites") &&
+				!strings.HasSuffix(fr.Function, ".moduleAllocs")
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
 func TestSteadyStateZeroAllocsPerEvent(t *testing.T) {
 	// The faulted run strands batches through node deaths and eclipse
 	// brownouts, defers a batch, and retries, loses, and sheds frames.
@@ -66,19 +145,19 @@ func TestSteadyStateZeroAllocsPerEvent(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p, sched, deg := starCell(t, tc.c)
 			s := new(simulator)
-			// AllocsPerRun's untimed first call is a whole warm-up run,
-			// which grows every arena to the size the run needs (an ISL
-			// outage backlog doubles the link ring several times); its
-			// one measured call re-runs the config on the recycled
-			// arenas, as the simulator pool does. Measuring a whole run
-			// in one call counts every allocation, even one made by a
-			// single rare event.
-			allocs := testing.AllocsPerRun(1, func() {
+			// The first call is a whole warm-up run, which grows every
+			// arena to the size the run needs (an ISL outage backlog
+			// doubles the link ring several times); the measured call
+			// re-runs the config on the recycled arenas, as the simulator
+			// pool does. Measuring a whole run in one call counts every
+			// allocation, even one made by a single rare event.
+			run := func() {
 				s.resetTopo(tc.c, p, sched, deg, 0, 1)
 				s.runUntil(s.horizon, true)
-			})
-			if allocs != 0 {
-				t.Errorf("re-run on warmed arenas allocates %v times, want 0", allocs)
+			}
+			run()
+			if sites := moduleAllocs(run); len(sites) > 0 {
+				t.Errorf("re-run on warmed arenas allocates, want 0 allocations:\n%s", strings.Join(sites, ""))
 			}
 			st := s.stats
 			if tc.faulted && (st.FramesRedispatched == 0 || s.brownoutIdx == 0 || st.BatchesDeferred == 0 ||
