@@ -34,6 +34,8 @@ import (
 // benchmark iteration.
 var printOnce sync.Map
 
+// benchExperiment runs one exhibit — paper, ablation or extension —
+// per iteration and prints its table once.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	e, err := experiments.ByID(id)
@@ -102,33 +104,14 @@ func BenchmarkTCO(b *testing.B) {
 }
 
 // Ablation benchmarks: the design-choice studies behind DESIGN.md.
-func benchAblation(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiments.AblationByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tbl experiments.Table
-	for i := 0; i < b.N; i++ {
-		tbl, err = e.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, done := printOnce.LoadOrStore(id, true); !done {
-		b.StopTimer()
-		fmt.Printf("\n%s\n", tbl)
-		b.StartTimer()
-	}
-}
 
-func BenchmarkAblationThermal(b *testing.B)     { benchAblation(b, "Ablation A1") }
-func BenchmarkAblationPowerSource(b *testing.B) { benchAblation(b, "Ablation A2") }
-func BenchmarkAblationThruster(b *testing.B)    { benchAblation(b, "Ablation A3") }
-func BenchmarkAblationSolarCell(b *testing.B)   { benchAblation(b, "Ablation A4") }
-func BenchmarkAblationISLLaw(b *testing.B)      { benchAblation(b, "Ablation A5") }
-func BenchmarkAblationDecode(b *testing.B)      { benchAblation(b, "Ablation A6") }
-func BenchmarkAblationBatchSize(b *testing.B)   { benchAblation(b, "Ablation A7") }
+func BenchmarkAblationThermal(b *testing.B)     { benchExperiment(b, "Ablation A1") }
+func BenchmarkAblationPowerSource(b *testing.B) { benchExperiment(b, "Ablation A2") }
+func BenchmarkAblationThruster(b *testing.B)    { benchExperiment(b, "Ablation A3") }
+func BenchmarkAblationSolarCell(b *testing.B)   { benchExperiment(b, "Ablation A4") }
+func BenchmarkAblationISLLaw(b *testing.B)      { benchExperiment(b, "Ablation A5") }
+func BenchmarkAblationDecode(b *testing.B)      { benchExperiment(b, "Ablation A6") }
+func BenchmarkAblationBatchSize(b *testing.B)   { benchExperiment(b, "Ablation A7") }
 
 // BenchmarkDSE measures the full 7168-design exploration.
 func BenchmarkDSE(b *testing.B) {
@@ -174,36 +157,17 @@ func BenchmarkMonteCarloParallel(b *testing.B) {
 }
 
 // Extension benchmarks: studies beyond the paper's evaluation.
-func benchExtension(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiments.ExtensionByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tbl experiments.Table
-	for i := 0; i < b.N; i++ {
-		tbl, err = e.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, done := printOnce.LoadOrStore(id, true); !done {
-		b.StopTimer()
-		fmt.Printf("\n%s\n", tbl)
-		b.StartTimer()
-	}
-}
 
-func BenchmarkExtFleetPlan(b *testing.B)      { benchExtension(b, "Extension E1") }
-func BenchmarkExtMaintenance(b *testing.B)    { benchExtension(b, "Extension E2") }
-func BenchmarkExtGEO(b *testing.B)            { benchExtension(b, "Extension E3") }
-func BenchmarkExtPipelineTiming(b *testing.B) { benchExtension(b, "Extension E4") }
+func BenchmarkExtFleetPlan(b *testing.B)      { benchExperiment(b, "Extension E1") }
+func BenchmarkExtMaintenance(b *testing.B)    { benchExperiment(b, "Extension E2") }
+func BenchmarkExtGEO(b *testing.B)            { benchExperiment(b, "Extension E3") }
+func BenchmarkExtPipelineTiming(b *testing.B) { benchExperiment(b, "Extension E4") }
 
-func BenchmarkExtBentPipe(b *testing.B) { benchExtension(b, "Extension E5") }
+func BenchmarkExtBentPipe(b *testing.B) { benchExperiment(b, "Extension E5") }
 
-func BenchmarkExtTradeStudy(b *testing.B) { benchExtension(b, "Extension E6") }
+func BenchmarkExtTradeStudy(b *testing.B) { benchExperiment(b, "Extension E6") }
 
-func BenchmarkExtOverprovision(b *testing.B) { benchExtension(b, "Extension E7") }
+func BenchmarkExtOverprovision(b *testing.B) { benchExperiment(b, "Extension E7") }
 
 // BenchmarkNetsim measures a fault-free 2-hour DES run of the default
 // reference scenario. Its BENCH_LEDGER.json row also gates the disabled

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"sudc/cmd/internal/obsflags"
 	"sudc/internal/experiments"
@@ -76,16 +75,11 @@ func run(args []string, out io.Writer) error {
 		toRun = experiments.Extensions()
 	}
 	if *only != "" {
-		toRun = nil
-		for _, e := range everything {
-			if strings.EqualFold(e.ID, *only) {
-				toRun = []experiments.Experiment{e}
-				break
-			}
+		e, err := experiments.ByID(*only)
+		if err != nil {
+			return err
 		}
-		if toRun == nil {
-			return fmt.Errorf("unknown exhibit %q", *only)
-		}
+		toRun = []experiments.Experiment{e}
 	}
 
 	if *parallel {

@@ -28,16 +28,6 @@ func Ablations() []Experiment {
 	}
 }
 
-// AblationByID finds an ablation by its ID.
-func AblationByID(id string) (Experiment, error) {
-	for _, e := range Ablations() {
-		if e.ID == id {
-			return e, nil
-		}
-	}
-	return Experiment{}, fmt.Errorf("experiments: unknown ablation %q", id)
-}
-
 // AblationThermal compares the paper's active heat-pump thermal design
 // against an all-passive radiator at the cold-plate temperature.
 func AblationThermal() (Table, error) {

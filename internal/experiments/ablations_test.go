@@ -27,15 +27,6 @@ func TestAllAblationsRun(t *testing.T) {
 	}
 }
 
-func TestAblationByID(t *testing.T) {
-	if _, err := AblationByID("Ablation A1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AblationByID("Ablation A99"); err == nil {
-		t.Error("unknown ablation must error")
-	}
-}
-
 func TestAblationThermalTrade(t *testing.T) {
 	tbl := run(t, AblationThermal)
 	// Rows alternate active/passive per power level.

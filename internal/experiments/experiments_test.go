@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,15 +52,30 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	e, err := ByID("figure 5")
-	if err != nil {
-		t.Fatal(err)
+	// One lookup reaches the paper exhibits, the ablations and the
+	// extensions, ignoring case.
+	for query, want := range map[string]string{
+		"figure 5":      "Figure 5",
+		"Ablation A1":   "Ablation A1",
+		"EXTENSION E12": "Extension E12",
+	} {
+		t.Run(query, func(t *testing.T) {
+			e, err := ByID(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.ID != want {
+				t.Errorf("ByID(%q) returned %q, want %q", query, e.ID, want)
+			}
+		})
 	}
-	if e.ID != "Figure 5" {
-		t.Errorf("ByID returned %q", e.ID)
-	}
-	if _, err := ByID("Figure 99"); err == nil {
-		t.Error("unknown exhibit must error")
+	for _, query := range []string{"Figure 99", "Ablation A99", "Extension E99"} {
+		t.Run(query, func(t *testing.T) {
+			_, err := ByID(query)
+			if want := fmt.Sprintf("unknown exhibit %q", query); err == nil || err.Error() != want {
+				t.Errorf("ByID(%q) error = %v, want %s", query, err, want)
+			}
+		})
 	}
 }
 

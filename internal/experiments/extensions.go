@@ -38,16 +38,6 @@ func Extensions() []Experiment {
 	}
 }
 
-// ExtensionByID finds an extension study by ID.
-func ExtensionByID(id string) (Experiment, error) {
-	for _, e := range Extensions() {
-		if e.ID == id {
-			return e, nil
-		}
-	}
-	return Experiment{}, fmt.Errorf("experiments: unknown extension %q", id)
-}
-
 // ExtFleetPlan packs the whole Table III suite onto 4 kW SµDCs, for the
 // commodity-GPU payload and for a global-accelerator payload.
 func ExtFleetPlan() (Table, error) {

@@ -27,15 +27,6 @@ func TestAllExtensionsRun(t *testing.T) {
 	}
 }
 
-func TestExtensionByID(t *testing.T) {
-	if _, err := ExtensionByID("Extension E1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExtensionByID("Extension E99"); err == nil {
-		t.Error("unknown extension must error")
-	}
-}
-
 func TestExtFleetPlanAcceleratorsShrinkFleet(t *testing.T) {
 	tbl := run(t, ExtFleetPlan)
 	if len(tbl.Rows) != 2 {

@@ -66,7 +66,7 @@ func TestPlacementSweepMMcAnchor(t *testing.T) {
 
 // TestExtPlacementTable smoke-checks the rendered E11 grid.
 func TestExtPlacementTable(t *testing.T) {
-	if _, err := ExtensionByID("Extension E11"); err != nil {
+	if _, err := ByID("Extension E11"); err != nil {
 		t.Fatal(err)
 	}
 	tbl := run(t, ExtPlacement)

@@ -67,7 +67,7 @@ func TestSLOAlertsConcentrateAtEclipseExit(t *testing.T) {
 
 // TestExtSLOTable smoke-checks the rendered E12 grid.
 func TestExtSLOTable(t *testing.T) {
-	e, err := ExtensionByID("Extension E12")
+	e, err := ByID("Extension E12")
 	if err != nil {
 		t.Fatal(err)
 	}

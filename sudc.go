@@ -106,8 +106,9 @@ type (
 // evaluation, in paper order.
 func Experiments() []Experiment { return experiments.All() }
 
-// RunExperiment regenerates one exhibit by ID (e.g. "Figure 5",
-// "Table III").
+// RunExperiment regenerates one exhibit by ID, ignoring case: a paper
+// exhibit ("Figure 5", "Table III"), an ablation ("Ablation A3") or an
+// extension ("Extension E8").
 func RunExperiment(id string) (Table, error) {
 	e, err := experiments.ByID(id)
 	if err != nil {
