@@ -146,28 +146,6 @@ func (g *Graph) Workers() int {
 	return total
 }
 
-// MinCrossDelay returns the smallest propagation delay over ISL edges
-// whose endpoints lie in different cells — the conservative lookahead
-// window — and whether any such edge exists.
-func (g *Graph) MinCrossDelay() (time.Duration, bool) {
-	min, found := time.Duration(math.MaxInt64), false
-	for _, e := range g.Edges {
-		if e.Kind != ISL {
-			continue
-		}
-		if g.Nodes[e.From].Cell != g.Nodes[e.To].Cell {
-			found = true
-			if e.Delay < min {
-				min = e.Delay
-			}
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	return min, true
-}
-
 // CellEdge is one directed edge of the cell graph: the minimum
 // propagation delay over the cross-cell ISL edges joining one cell to
 // another. The sharded simulator's per-cell conservative lookahead is

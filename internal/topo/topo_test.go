@@ -8,6 +8,22 @@ import (
 	"sudc/internal/units"
 )
 
+// minCellDelay returns the smallest delay over g's cell-graph edges and
+// whether the graph has any.
+func minCellDelay(g *Graph) (time.Duration, bool) {
+	out, _ := g.CellGraph()
+	var min time.Duration
+	found := false
+	for _, row := range out {
+		for _, e := range row {
+			if !found || e.Delay < min {
+				min, found = e.Delay, true
+			}
+		}
+	}
+	return min, found
+}
+
 func TestStarShape(t *testing.T) {
 	g := Star(64, 5)
 	if err := g.Validate(); err != nil {
@@ -19,8 +35,8 @@ func TestStarShape(t *testing.T) {
 	if len(g.Edges) != 1 || g.EdgeName(0) != "sats-sudc" {
 		t.Errorf("star edge = %q, want sats-sudc", g.EdgeName(0))
 	}
-	if _, ok := g.MinCrossDelay(); ok {
-		t.Error("single-cell star reports a cross-cell delay")
+	if _, ok := minCellDelay(g); ok {
+		t.Error("single-cell star has cell-graph edges")
 	}
 }
 
@@ -42,9 +58,9 @@ func TestWalkerShape(t *testing.T) {
 	if g.Workers() != 3*8 {
 		t.Errorf("workers = %d, want %d", g.Workers(), 3*8)
 	}
-	w, ok := g.MinCrossDelay()
+	w, ok := minCellDelay(g)
 	if !ok || w != 200*time.Millisecond {
-		t.Errorf("min cross delay = %v/%v, want 200ms/true", w, ok)
+		t.Errorf("smallest cell-edge delay = %v/%v, want 200ms/true", w, ok)
 	}
 	// Every plane's source must route somewhere; SµDC-less planes route
 	// around the ring.
@@ -122,8 +138,8 @@ func TestClustersShape(t *testing.T) {
 	if len(g.Edges) != 24 {
 		t.Errorf("edges = %d, want one per satellite (24)", len(g.Edges))
 	}
-	if _, ok := g.MinCrossDelay(); ok {
-		t.Error("independent clusters report a cross-cell delay")
+	if _, ok := minCellDelay(g); ok {
+		t.Error("independent clusters have cell-graph edges")
 	}
 	if g.EdgeName(0) != "c00/sat00-c00/hub" {
 		t.Errorf("edge name = %q", g.EdgeName(0))
