@@ -346,7 +346,7 @@ func TestSurviveTrialWeekBuckets(t *testing.T) {
 	// 52 weekly steps.
 	cfg := DefaultSurvivalConfig(0)
 	years := int(math.Ceil(float64(cfg.Policy.Horizon)))
-	a := cfg.trial(par.ForkRand(cfg.Seed, 0), 1, years)
+	a := cfg.trial(par.ForkRand(cfg.Seed, 0), cfg.tabulateAging(1), years)
 	if got, want := a.steps, float64(years)*52; got != want {
 		t.Errorf("trial ran %v weekly steps over %d years, want %v", got, years, want)
 	}

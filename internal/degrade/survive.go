@@ -132,15 +132,20 @@ func Survive(cfg SurvivalConfig) (SurvivalResult, error) {
 	}
 	capFactor := sched.CapacityFactor()
 	years := int(math.Ceil(float64(cfg.Policy.Horizon)))
+	tab := cfg.tabulateAging(capFactor)
 
 	parts := make([]trialAccum, cfg.Trials)
 	par.ForN(cfg.Trials, func(tr int) {
-		parts[tr] = cfg.trial(par.ForkRand(cfg.Seed, tr), capFactor, years)
+		parts[tr] = cfg.trial(par.ForkRand(cfg.Seed, tr), tab, years)
 	})
+	return mergeTrials(parts, capFactor, years), nil
+}
 
+// mergeTrials averages the trials' integrals into the program result.
+func mergeTrials(parts []trialAccum, capFactor float64, years int) SurvivalResult {
 	out := SurvivalResult{CapacityFactor: capFactor}
 	out.Years = make([]YearPoint, years)
-	n := float64(cfg.Trials)
+	n := float64(len(parts))
 	for _, p := range parts {
 		out.UnitsBuilt += p.built / n
 		out.Availability += p.availWks / p.steps / n
@@ -158,17 +163,53 @@ func Survive(cfg SurvivalConfig) (SurvivalResult, error) {
 	for y := range out.Years {
 		out.Years[y].Year = y
 	}
-	return out, nil
+	return out
+}
+
+// weekDt is the program's weekly time step in years.
+const weekDt = 1.0 / 52
+
+// programWeeks is the number of weekly steps over the policy horizon.
+// Program time is derived from this integer week index: repeated float
+// addition (t += dt) accumulates rounding error that misbuckets
+// year-boundary weeks and can run the loop a step long or short over a
+// multi-year horizon, so every year holds exactly 52 steps.
+func programWeeks(p lifecycle.Policy) int {
+	return int(math.Round(float64(p.Horizon) * 52))
+}
+
+// agingTable is indexed by the weeks a satellite has flown. Every
+// satellite enters the fleet at age 0 and ages by weekDt each step, so
+// a satellite flown k weeks has exactly age ages[k], the k-fold float
+// sum of weekDt, and capacity caps[k] = capFactor × aging^ages[k].
+type agingTable struct {
+	ages, caps []float64
+}
+
+// tabulateAging builds the aging table up to the first age at the
+// design lifetime (a satellite retires there) or the last program
+// week, whichever comes first.
+func (cfg SurvivalConfig) tabulateAging(capFactor float64) agingTable {
+	aging := 1 - cfg.Solar.Cell.AnnualDegradation
+	life := float64(cfg.Policy.DesignLifetime)
+	weeks := programWeeks(cfg.Policy)
+	var tab agingTable
+	for k, age := 0, 0.0; k <= weeks; k, age = k+1, age+weekDt {
+		tab.ages = append(tab.ages, age)
+		tab.caps = append(tab.caps, capFactor*math.Pow(aging, age))
+		if age >= life {
+			break
+		}
+	}
+	return tab
 }
 
 // trial replays one program trajectory with the weekly-step fleet
 // semantics of lifecycle.Policy.Simulate, adding the per-satellite
-// capacity integral.
-func (cfg SurvivalConfig) trial(rng *rand.Rand, capFactor float64, years int) trialAccum {
+// capacity integral. Satellites are tracked by weeks flown, and their
+// ages and capacities read from tab.
+func (cfg SurvivalConfig) trial(rng *rand.Rand, tab agingTable, years int) trialAccum {
 	p := cfg.Policy
-	horizon := float64(p.Horizon)
-	const dt = 1.0 / 52 // weekly steps
-	aging := 1 - cfg.Solar.Cell.AnnualDegradation
 	size := p.Target + p.Spares
 	target := float64(p.Target)
 
@@ -178,16 +219,12 @@ func (cfg SurvivalConfig) trial(rng *rand.Rand, capFactor float64, years int) tr
 		yearCap:   make([]float64, years),
 		yearSteps: make([]float64, years),
 	}
-	fleet := make([]float64, size) // ages of flying satellites
+	fleet := make([]int, size) // weeks flown by each flying satellite
 	a.built = float64(size)
 	var pending []float64
-	// Integer week index: repeated float addition (t += dt) accumulates
-	// rounding error that misbuckets year-boundary weeks and can run the
-	// loop a step long or short over a multi-year horizon. Deriving t
-	// from the week counter keeps every year at exactly 52 steps.
-	steps := int(math.Round(horizon * 52))
+	steps := programWeeks(p)
 	for w := 0; w < steps; w++ {
-		t := float64(w) * dt
+		t := float64(w) * weekDt
 		// Deliver arrivals.
 		keep := pending[:0]
 		for _, at := range pending {
@@ -200,22 +237,22 @@ func (cfg SurvivalConfig) trial(rng *rand.Rand, capFactor float64, years int) tr
 		pending = keep
 		// Age, retire at design lifetime, fail early at 1/MTTF.
 		alive := fleet[:0]
-		for _, age := range fleet {
-			age += dt
-			if age >= float64(p.DesignLifetime) {
+		for _, k := range fleet {
+			k++
+			if tab.ages[k] >= float64(p.DesignLifetime) {
 				continue
 			}
-			if p.EarlyFailureMTTF > 0 && rng.Float64() < dt/float64(p.EarlyFailureMTTF) {
+			if p.EarlyFailureMTTF > 0 && rng.Float64() < weekDt/float64(p.EarlyFailureMTTF) {
 				continue
 			}
-			alive = append(alive, age)
+			alive = append(alive, k)
 		}
 		fleet = alive
 		// Order replacements, counting only satellites still flying
 		// when an ordered unit arrives.
 		surviving := 0
-		for _, age := range fleet {
-			if age+float64(p.ReplacementLeadTime) < float64(p.DesignLifetime) {
+		for _, k := range fleet {
+			if tab.ages[k]+float64(p.ReplacementLeadTime) < float64(p.DesignLifetime) {
 				surviving++
 			}
 		}
@@ -225,8 +262,8 @@ func (cfg SurvivalConfig) trial(rng *rand.Rand, capFactor float64, years int) tr
 		}
 		// Integrate head-count and degradation-adjusted capacity.
 		capSum := 0.0
-		for _, age := range fleet {
-			capSum += capFactor * math.Pow(aging, age)
+		for _, k := range fleet {
+			capSum += tab.caps[k]
 		}
 		y := w / 52
 		if y >= years {

@@ -5,14 +5,19 @@
 //
 // Determinism contract: a Schedule is a pure function of
 // (Scenario, nodes, horizon, seed). Each node draws its lifetime and
-// hang renewal process from its own RNG stream forked via par.ForkRand,
-// and the ISL outage process uses a fixed stream index far above any
-// plausible node count, so
+// hang renewal process from its own RNG stream i, seeded with
+// par.ForkSeed(seed, i), and each ISL edge's outage process from a
+// fixed stream index far above any plausible node count. A stream is
+// seeded only when its process draws, and one generator serves every
+// stream in turn, reseeded per stream (Seed re-initializes the source
+// fully, so each stream draws exactly what a fresh par.ForkRand would).
+// So
 //
 //   - the same inputs produce a byte-identical schedule on any machine
 //     and under any worker count, and
 //   - adding or removing one fault process never perturbs the draws of
-//     another (streams are independent per entity, not shared).
+//     another (each entity's stream starts from its own seed, never
+//     where another stream left the generator).
 //
 // Node lifetimes are exponential with mean NodeMTTF — the same
 // distribution behind reliability.SurvivalProb — so a discrete-event
@@ -233,9 +238,23 @@ func BuildModulated(s Scenario, nodes, edges int, horizon time.Duration, seed in
 		env = nil
 	}
 	h := horizon.Seconds()
+	// One generator, reseeded per stream (see the package comment).
+	var gen *rand.Rand
+	stream := func(i int) *rand.Rand {
+		if gen == nil {
+			gen = par.ForkRand(seed, i)
+		} else {
+			gen.Seed(par.ForkSeed(seed, i))
+		}
+		return gen
+	}
 	sched := Schedule{Deaths: make([]float64, nodes)}
 	for i := range sched.Deaths {
-		rng := par.ForkRand(seed, i)
+		if s.NodeMTTF == 0 && s.SEFIMTBE == 0 {
+			sched.Deaths[i] = math.Inf(1)
+			continue
+		}
+		rng := stream(i)
 		death := math.Inf(1)
 		if s.NodeMTTF > 0 {
 			death = reliability.DrawLifetime(rng, s.NodeMTTF.Seconds())
@@ -266,7 +285,7 @@ func BuildModulated(s Scenario, nodes, edges int, horizon time.Duration, seed in
 	})
 	if s.ISLOutageMTBF > 0 {
 		for e := 0; e < edges; e++ {
-			rng := par.ForkRand(seed, islStream+e)
+			rng := stream(islStream + e)
 			for t := rng.ExpFloat64() * s.ISLOutageMTBF.Seconds(); t < h; {
 				dur := rng.ExpFloat64() * s.ISLOutageDuration.Seconds()
 				sched.Outages = append(sched.Outages, Outage{Start: t, Duration: dur, Edge: e})

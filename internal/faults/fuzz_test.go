@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -11,7 +12,8 @@ import (
 // the horizon censored to +Inf, hangs sorted by (At, Node) and
 // non-overlapping per node and never after that node's death, outages
 // sorted by (Start, Edge) and non-overlapping per edge. Invalid inputs
-// must error rather than panic or emit a malformed schedule.
+// must error rather than panic or emit a malformed schedule, and every
+// schedule must equal the per-stream oracle's.
 func FuzzBuildN(f *testing.F) {
 	f.Add(int64(4*time.Hour), int64(30*time.Minute), int64(45*time.Second),
 		int64(20*time.Minute), int64(90*time.Second), 8, 2, int64(2*time.Hour), int64(1))
@@ -46,6 +48,9 @@ func FuzzBuildN(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if want, _ := buildModulatedOracle(s, nodes, edges, time.Duration(horizon), seed, nil); !reflect.DeepEqual(sched, want) {
+			t.Fatal("schedule differs from the per-stream oracle")
 		}
 		h := time.Duration(horizon).Seconds()
 		if len(sched.Deaths) != nodes {

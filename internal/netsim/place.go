@@ -21,7 +21,6 @@ package netsim
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"sudc/internal/obs/latency"
@@ -191,7 +190,7 @@ func summarizeTiers(stats *Stats, lats *[placement.NumTiers][]float64, costSum f
 		if len(v) == 0 {
 			continue
 		}
-		sort.Float64s(v)
+		latency.Sort(v)
 		var sum float64
 		for _, l := range v {
 			sum += l

@@ -118,11 +118,6 @@ type shardRunner struct {
 
 	weights []int // per-cell worker counts, for merging
 	linksN  []int // per-cell link counts
-	allLat  []float64
-
-	// Placement merge accumulators (unused without Config.Placement).
-	tierLat   [placement.NumTiers][]float64
-	placeCost float64
 }
 
 // newShardRunner builds the per-cell simulators. A single-cell
@@ -472,11 +467,25 @@ func (r *shardRunner) finish() Stats {
 		r.sealWindows()
 		return cs
 	}
+	// Size the merged latency buffers once; a cell's finish adds no
+	// samples.
+	nLat, nTier := 0, [placement.NumTiers]int{}
+	for _, s := range r.sims {
+		nLat += len(s.latencies)
+		for t := range s.tierLats {
+			nTier[t] += len(s.tierLats[t])
+		}
+	}
+	allLat := make([]float64, 0, nLat)
+	var tierLat [placement.NumTiers][]float64
+	for t := range tierLat {
+		tierLat[t] = make([]float64, 0, nTier[t])
+	}
+	var placeCost float64
 	var out Stats
 	var availW, degW, wuW, islW, rateW float64
 	totalWorkers, totalLinks := 0, 0
 	out.MeanRateMult = 1
-	r.allLat = r.allLat[:0]
 	for i, s := range r.sims {
 		cs := s.finish()
 		w := float64(r.weights[i])
@@ -511,16 +520,16 @@ func (r *shardRunner) finish() Stats {
 		islW += cs.ISLUtilization * float64(r.linksN[i])
 		totalWorkers += r.weights[i]
 		totalLinks += r.linksN[i]
-		r.allLat = append(r.allLat, s.latencies...)
+		allLat = append(allLat, s.latencies...)
 		if s.place != nil {
 			// The per-tier latency distributions are recomputed over the
 			// merged samples, exactly like the global distribution.
 			for t := range s.tierLats {
 				out.TierFrames[t] += cs.TierFrames[t]
 				out.TierDollars[t] += cs.TierDollars[t]
-				r.tierLat[t] = append(r.tierLat[t], s.tierLats[t]...)
+				tierLat[t] = append(tierLat[t], s.tierLats[t]...)
 			}
-			r.placeCost += s.placeCostSum
+			placeCost += s.placeCostSum
 			out.OracleMeanCost = cs.OracleMeanCost
 		}
 		s.closeWindows(r.winM)
@@ -540,20 +549,20 @@ func (r *shardRunner) finish() Stats {
 	if totalLinks > 0 {
 		out.ISLUtilization = units.Clamp(islW/float64(totalLinks), 0, 1)
 	}
-	if len(r.allLat) > 0 {
+	if len(allLat) > 0 {
 		// The merged samples are concatenated in cell order — a pure
 		// function of the config — so the mean sum is deterministic, and
 		// the p95 is the same order statistic a full sort would index.
 		var sum float64
-		for _, l := range r.allLat {
+		for _, l := range allLat {
 			sum += l
 		}
-		out.MeanLatency = time.Duration(sum / float64(len(r.allLat)) * float64(time.Second))
-		p95 := selectKth(r.allLat, int(float64(len(r.allLat))*0.95))
+		out.MeanLatency = time.Duration(sum / float64(len(allLat)) * float64(time.Second))
+		p95 := selectKth(allLat, int(float64(len(allLat))*0.95))
 		out.P95Latency = time.Duration(p95 * float64(time.Second))
 	}
 	if r.c.Placement != nil {
-		summarizeTiers(&out, &r.tierLat, r.placeCost)
+		summarizeTiers(&out, &tierLat, placeCost)
 	}
 	out.KeptUp = out.Backlog <= 2*r.c.BatchSize*totalWorkers
 	out.Sync = r.syncStats

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
 	"sudc/internal/degrade"
 	"sudc/internal/faults"
+	"sudc/internal/obs/latency"
 	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
 	"sudc/internal/placement"
@@ -1205,7 +1205,7 @@ func (s *simulator) finish() Stats {
 	stats := s.stats
 	stats.Backlog = stats.FramesGenerated - stats.FramesProcessed - stats.FramesShed - stats.FramesLost
 	if len(s.latencies) > 0 && !s.mergeLat {
-		sort.Float64s(s.latencies)
+		latency.Sort(s.latencies)
 		var sum float64
 		for _, l := range s.latencies {
 			sum += l
