@@ -169,6 +169,41 @@ func BenchmarkExtTradeStudy(b *testing.B) { benchExperiment(b, "Extension E6") }
 
 func BenchmarkExtOverprovision(b *testing.B) { benchExperiment(b, "Extension E7") }
 
+// The DES-backed extensions E8–E12 are the exhibits list's long poles;
+// run them with -benchmem, as their allocation churn sets the exhibits
+// workload's GC cost. E7, E9, E11 and E12 run their DES sweeps through
+// the shared parallel engine, so their times depend on GOMAXPROCS.
+
+func BenchmarkExtShardedTopology(b *testing.B) { benchExperiment(b, "Extension E8") }
+func BenchmarkExtDegradation(b *testing.B)     { benchExperiment(b, "Extension E9") }
+func BenchmarkExtSurvivability(b *testing.B)   { benchExperiment(b, "Extension E10") }
+func BenchmarkExtPlacement(b *testing.B)       { benchExperiment(b, "Extension E11") }
+func BenchmarkExtSLO(b *testing.B)             { benchExperiment(b, "Extension E12") }
+
+// BenchmarkRunAll regenerates all 44 exhibits through RunAll, as the
+// exhibits workload of bench/ does, with the process default worker
+// count pinned to the RunAll worker count: workers=1 is the fully
+// serial pass, workers=2 lets the exhibits and their nested sweeps
+// share two cores. The DSE behind Figure 17 is memoized before the
+// timer starts.
+func BenchmarkRunAll(b *testing.B) {
+	exps := append(append(experiments.All(), experiments.Ablations()...), experiments.Extensions()...)
+	if _, err := experiments.DSEResult(); err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			partest.WithDefaultWorkers(b, w)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.RunAll(exps, w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkNetsim measures a fault-free 2-hour DES run of the default
 // reference scenario. Its BENCH_LEDGER.json row also gates the disabled
 // paths of every optional layer, since the run enables none of them.

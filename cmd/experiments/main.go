@@ -12,7 +12,10 @@
 //	experiments -parallel -workers 4
 //
 // -parallel produces byte-identical output to a serial run for any
-// worker count; only wall-clock time changes.
+// worker count; only wall-clock time changes. -workers n (n > 0) also
+// sets the process-wide default worker count, so it bounds the
+// exhibits' own parallel sweeps (E7, E9, E11, E12, the DSE) as well as
+// the exhibit runner, with or without -parallel.
 //
 // The observability flags (-metrics, -trace, -trace-out, -pprof) are
 // shared with sudcsim and sudctool and listed once, in package
@@ -27,6 +30,7 @@ import (
 
 	"sudc/cmd/internal/obsflags"
 	"sudc/internal/experiments"
+	"sudc/internal/par"
 )
 
 func main() {
@@ -48,6 +52,11 @@ func run(args []string, out io.Writer) error {
 	of := obsflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *workers > 0 {
+		// One flag bounds the whole process: every nested parallel run
+		// draws its helpers from the budget this default sizes.
+		defer par.SetDefaultWorkers(par.SetDefaultWorkers(*workers))
 	}
 
 	sess, err := of.Start(out)

@@ -6,9 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sudc/internal/obs/trace"
+	"sudc/internal/par"
+	"sudc/internal/par/partest"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/usage.golden")
@@ -112,6 +116,43 @@ func TestMetricsFlagParallelRecordsEngine(t *testing.T) {
 	// -metrics prints no metrics section.
 	if plain := runCmd(t, "-only", "Figure 12"); strings.Contains(plain, "metrics:") {
 		t.Error("metrics must be opt-in per invocation")
+	}
+}
+
+// workerObserver records the largest pool any engine run resolved.
+type workerObserver struct{ max atomic.Int64 }
+
+func (o *workerObserver) RunStarted(items, workers int) {
+	for {
+		m := o.max.Load()
+		if int64(workers) <= m || o.max.CompareAndSwap(m, int64(workers)) {
+			return
+		}
+	}
+}
+func (o *workerObserver) ItemsDone(int)                       {}
+func (o *workerObserver) RunFinished(int, int, time.Duration) {}
+
+// TestWorkersFlagBoundsNestedRuns pins -workers as a process-wide
+// bound: the exhibits' own sweeps (E6's trade study here) run under it
+// too, with or without -parallel, and the previous default comes back
+// on return.
+func TestWorkersFlagBoundsNestedRuns(t *testing.T) {
+	partest.WithDefaultWorkers(t, 4)
+	for _, args := range [][]string{
+		{"-only", "Extension E6", "-workers", "1"},
+		{"-only", "Extension E6", "-workers", "1", "-parallel"},
+	} {
+		var o workerObserver
+		par.SetObserver(&o)
+		runCmd(t, args...)
+		par.SetObserver(nil)
+		if m := o.max.Load(); m != 1 {
+			t.Errorf("%v: an engine run used %d workers, want 1", args, m)
+		}
+		if d := par.DefaultWorkers(); d != 4 {
+			t.Errorf("%v: default workers %d after return, want 4 restored", args, d)
+		}
 	}
 }
 

@@ -29,11 +29,16 @@ import (
 	"sudc/internal/workload"
 )
 
-// renderAll runs every paper exhibit through the parallel runner and
-// concatenates the rendered tables.
-func renderAll(t *testing.T, workers int) string {
+// renderAll runs exps through the parallel runner with the process
+// default worker count pinned to the runner's, so workers=1 is a fully
+// serial reference — the exhibits' own sweeps (E7, E9, E11, E12, the
+// DSE and trade sweeps) draw on the same budget — and concatenates the
+// rendered tables.
+func renderAll(t *testing.T, exps []experiments.Experiment, workers int) string {
 	t.Helper()
-	tables, err := experiments.RunAll(experiments.All(), workers)
+	prev := par.SetDefaultWorkers(workers)
+	defer par.SetDefaultWorkers(prev)
+	tables, err := experiments.RunAll(exps, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +51,12 @@ func renderAll(t *testing.T, workers int) string {
 }
 
 func TestExperimentsInvariantUnderWorkerCount(t *testing.T) {
-	ref := renderAll(t, 1)
+	ref := renderAll(t, experiments.All(), 1)
 	if ref == "" {
 		t.Fatal("no rendered output")
 	}
 	for _, w := range []int{2, 8} {
-		if got := renderAll(t, w); got != ref {
+		if got := renderAll(t, experiments.All(), w); got != ref {
 			t.Errorf("workers=%d: rendered experiment output differs from workers=1", w)
 		}
 	}
@@ -59,23 +64,12 @@ func TestExperimentsInvariantUnderWorkerCount(t *testing.T) {
 
 func TestExtensionsInvariantUnderWorkerCount(t *testing.T) {
 	// Extensions exercise the Monte-Carlo paths (maintenance simulation)
-	// on top of the analytic sweeps, so they pin the forked-stream
-	// discipline as well.
-	render := func(workers int) string {
-		t.Helper()
-		tables, err := experiments.RunAll(experiments.Extensions(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for _, tbl := range tables {
-			b.WriteString(tbl.String())
-		}
-		return b.String()
-	}
-	ref := render(1)
+	// and the parallel DES sweeps (E7, E9, E11, E12) on top of the
+	// analytic sweeps, so they pin the forked-stream discipline and the
+	// nested runs' ordered results as well.
+	ref := renderAll(t, experiments.Extensions(), 1)
 	for _, w := range []int{2, 8} {
-		if got := render(w); got != ref {
+		if got := renderAll(t, experiments.Extensions(), w); got != ref {
 			t.Errorf("workers=%d: rendered extension output differs from workers=1", w)
 		}
 	}

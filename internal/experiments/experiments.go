@@ -126,8 +126,12 @@ func All() []Experiment {
 // RunAll executes the experiments concurrently over the shared parallel
 // engine and returns their tables in input order, so rendered output is
 // byte-identical to a serial run for any worker count. workers ≤ 0 uses
-// the engine default (GOMAXPROCS). The first failing exhibit (lowest
-// index among those observed) aborts the run.
+// the engine default (GOMAXPROCS). Workers claim one exhibit at a time:
+// the DES-backed exhibits at the end of the list cost 20–160 ms each, so
+// a larger claim would stack several of them on one worker. The
+// exhibits' own sweeps draw on the same process-wide worker budget, so
+// they pick up a freed core once the list drains. The first failing
+// exhibit (lowest index among those observed) aborts the run.
 func RunAll(exps []Experiment, workers int) ([]Table, error) {
 	return RunAllObserved(exps, workers, nil)
 }
@@ -144,7 +148,7 @@ func RunAllObserved(exps []Experiment, workers int, reg *obs.Registry) ([]Table,
 			return Table{}, fmt.Errorf("%s: %w", e.ID, err)
 		}
 		return t, nil
-	}, par.Workers(workers))
+	}, par.Workers(workers), par.Chunk(1))
 	if err == nil {
 		reg.Counter("experiments/exhibits").Add(int64(len(exps)))
 	}

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"sudc/internal/netsim"
+	"sudc/internal/par"
 	"sudc/internal/placement"
 	"sudc/internal/units"
 	"sudc/internal/workload"
@@ -73,76 +74,96 @@ func placementConfig(app workload.App, fpm, gbps float64, p placement.Policy) (n
 	return c, nil
 }
 
+// placementPolicies are the policies every E11 cell runs, in the order
+// PlacementSweep reads their results.
+var placementPolicies = [...]placement.Policy{
+	{Kind: placement.Static, StaticTier: placement.TierSpace},
+	{Kind: placement.Static, StaticTier: placement.TierCloud},
+	{Kind: placement.Static, StaticTier: placement.TierGroundEdge},
+	{Kind: placement.GreedyCost},
+	{Kind: placement.QueueAware},
+}
+
+// placementRun is one (cell, policy) DES run of the E11 grid.
+type placementRun struct {
+	fpm, gbps float64
+	policy    placement.Policy
+}
+
+// placementResult is a placementRun's statistics and the placement
+// config it ran under.
+type placementResult struct {
+	stats netsim.Stats
+	pc    *placement.Config
+}
+
 // PlacementSweep runs the E11 grid. Each cell runs the DES once per
 // policy — static-to-space, static-to-cloud, static-to-edge (the
 // M/M/c anchor), greedy, and queue-aware — over a 30-minute horizon of
-// the 64-satellite reference constellation.
+// the 64-satellite reference constellation. The cell × policy runs are
+// independent, so they go through the shared parallel engine; each
+// config is a pure function of its cell and policy, so the points are
+// identical for any worker count.
 func PlacementSweep(app workload.App, fpms, downlinkGbps []float64) ([]PlacementPoint, error) {
-	points := make([]PlacementPoint, 0, len(fpms)*len(downlinkGbps))
+	runs := make([]placementRun, 0, len(fpms)*len(downlinkGbps)*len(placementPolicies))
 	for _, gbps := range downlinkGbps {
 		for _, fpm := range fpms {
-			pt := PlacementPoint{FramesPerMinute: fpm, DownlinkGbps: gbps}
-
-			run := func(p placement.Policy) (netsim.Stats, *placement.Config, error) {
-				c, err := placementConfig(app, fpm, gbps, p)
-				if err != nil {
-					return netsim.Stats{}, nil, err
-				}
-				s, err := netsim.Run(c)
-				return s, c.Placement, err
+			for _, p := range placementPolicies {
+				runs = append(runs, placementRun{fpm: fpm, gbps: gbps, policy: p})
 			}
-
-			space, pc, err := run(placement.Policy{Kind: placement.Static, StaticTier: placement.TierSpace})
-			if err != nil {
-				return nil, err
-			}
-			cloud, _, err := run(placement.Policy{Kind: placement.Static, StaticTier: placement.TierCloud})
-			if err != nil {
-				return nil, err
-			}
-			edge, _, err := run(placement.Policy{Kind: placement.Static, StaticTier: placement.TierGroundEdge})
-			if err != nil {
-				return nil, err
-			}
-			greedy, _, err := run(placement.Policy{Kind: placement.GreedyCost})
-			if err != nil {
-				return nil, err
-			}
-			queue, _, err := run(placement.Policy{Kind: placement.QueueAware})
-			if err != nil {
-				return nil, err
-			}
-
-			pt.SpaceCost = space.PlacedMeanCost
-			pt.CloudCost = cloud.PlacedMeanCost
-			pt.GreedyPolCost = greedy.PlacedMeanCost
-			pt.QueuePolCost = queue.PlacedMeanCost
-			pt.OracleCost = pc.Model.OracleCost()
-
-			// Goodput per TCO dollar charges each tier for the whole
-			// offered stream: frames the run shed or stranded in a starved
-			// downlink earn nothing but still cost their amortized share.
-			spaceDollars := pc.Model.Tiers[placement.TierSpace].DollarsPerFrame * float64(space.FramesGenerated)
-			cloudDollars := pc.Model.Tiers[placement.TierCloud].DollarsPerFrame * float64(cloud.FramesGenerated)
-			if spaceDollars > 0 {
-				pt.SpacePerDollar = float64(space.FramesProcessed) / spaceDollars
-			}
-			if cloudDollars > 0 {
-				pt.CloudPerDollar = float64(cloud.FramesProcessed) / cloudDollars
-			}
-			pt.SpaceWins = pt.SpacePerDollar > pt.CloudPerDollar
-
-			// M/M/c anchor at the ground edge: measured wait above the
-			// deterministic floor vs the Erlang-C wait at the same load.
-			ec := pc.Model.Tiers[placement.TierGroundEdge]
-			floor := app.FrameBits()/pc.Ratio()/float64(pc.DownlinkRate) +
-				pc.AccessDelay.Seconds() + ec.ServiceTime
-			pt.EdgeWaitDES = edge.TierMeanLatency[placement.TierGroundEdge].Seconds() - floor
-			lambda := fpm / 60 * 64
-			pt.EdgeWaitMMc = placement.MMcWait(lambda, 1/ec.ServiceTime, ec.Servers)
-
-			points = append(points, pt)
 		}
+	}
+	results, err := par.MapErr(runs, func(r placementRun) (placementResult, error) {
+		c, err := placementConfig(app, r.fpm, r.gbps, r.policy)
+		if err != nil {
+			return placementResult{}, err
+		}
+		s, err := netsim.Run(c)
+		return placementResult{stats: s, pc: c.Placement}, err
+	}, par.Chunk(1))
+	if err != nil {
+		return nil, err
+	}
+
+	points := make([]PlacementPoint, 0, len(fpms)*len(downlinkGbps))
+	for k := 0; k < len(results); k += len(placementPolicies) {
+		fpm := runs[k].fpm
+		pt := PlacementPoint{FramesPerMinute: fpm, DownlinkGbps: runs[k].gbps}
+		space, pc := results[k].stats, results[k].pc
+		cloud := results[k+1].stats
+		edge := results[k+2].stats
+		greedy := results[k+3].stats
+		queue := results[k+4].stats
+
+		pt.SpaceCost = space.PlacedMeanCost
+		pt.CloudCost = cloud.PlacedMeanCost
+		pt.GreedyPolCost = greedy.PlacedMeanCost
+		pt.QueuePolCost = queue.PlacedMeanCost
+		pt.OracleCost = pc.Model.OracleCost()
+
+		// Goodput per TCO dollar charges each tier for the whole
+		// offered stream: frames the run shed or stranded in a starved
+		// downlink earn nothing but still cost their amortized share.
+		spaceDollars := pc.Model.Tiers[placement.TierSpace].DollarsPerFrame * float64(space.FramesGenerated)
+		cloudDollars := pc.Model.Tiers[placement.TierCloud].DollarsPerFrame * float64(cloud.FramesGenerated)
+		if spaceDollars > 0 {
+			pt.SpacePerDollar = float64(space.FramesProcessed) / spaceDollars
+		}
+		if cloudDollars > 0 {
+			pt.CloudPerDollar = float64(cloud.FramesProcessed) / cloudDollars
+		}
+		pt.SpaceWins = pt.SpacePerDollar > pt.CloudPerDollar
+
+		// M/M/c anchor at the ground edge: measured wait above the
+		// deterministic floor vs the Erlang-C wait at the same load.
+		ec := pc.Model.Tiers[placement.TierGroundEdge]
+		floor := app.FrameBits()/pc.Ratio()/float64(pc.DownlinkRate) +
+			pc.AccessDelay.Seconds() + ec.ServiceTime
+		pt.EdgeWaitDES = edge.TierMeanLatency[placement.TierGroundEdge].Seconds() - floor
+		lambda := fpm / 60 * 64
+		pt.EdgeWaitMMc = placement.MMcWait(lambda, 1/ec.ServiceTime, ec.Servers)
+
+		points = append(points, pt)
 	}
 	return points, nil
 }

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"sudc/internal/par/partest"
 	"sudc/internal/workload"
 )
 
@@ -79,5 +82,28 @@ func TestExtPlacementTable(t *testing.T) {
 	}
 	if winners["space"] == 0 || winners["bent pipe"] == 0 {
 		t.Errorf("E11 grid shows no crossover: %v", winners)
+	}
+}
+
+// TestPlacementSweepInvariantUnderWorkerCount pins E11's parallel
+// sweep: the cell × policy runs go through the shared engine, and the
+// points must not depend on how many workers ran them. The grid keeps
+// the saturated 24 frames/min cells, whose backlogs are the largest.
+func TestPlacementSweepInvariantUnderWorkerCount(t *testing.T) {
+	sweep := func(t *testing.T, workers int) []PlacementPoint {
+		partest.WithDefaultWorkers(t, workers)
+		points, err := PlacementSweep(workload.Suite[0], []float64{0.5, 24}, []float64{1, 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return points
+	}
+	ref := sweep(t, 1)
+	for _, w := range []int{2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			if got := sweep(t, w); !reflect.DeepEqual(got, ref) {
+				t.Errorf("points differ from workers=1:\n%+v\nvs\n%+v", got, ref)
+			}
+		})
 	}
 }

@@ -53,42 +53,78 @@ func eclipseExit(wins []window.Window, i int) bool {
 	return i > 0 && wins[i-1].EclipseSec > 0
 }
 
+// sloRun is one replica run of an E12 cell.
+type sloRun struct {
+	severity, eclipseFrac float64
+	replica               int
+}
+
+// sloReplica is one replica's contribution to its E12 cell.
+type sloReplica struct {
+	attainment               float64
+	alerts, exit, attributed int
+}
+
 // SLOSweep runs the E12 grid over the E9 base scenario (spare-
 // provisioned SµDC, 2-hour horizon crossing a full orbit), each cell
-// averaging `replicas` serial DES runs with forked seeds. Windowed
-// telemetry uses per-run OnWindow state, so replicas run through
-// netsim.Run directly rather than RunReplicas.
+// averaging `replicas` DES runs with forked seeds. Windowed telemetry
+// uses per-run OnWindow state, so replicas run through netsim.Run
+// directly rather than RunReplicas. Every cell × replica run goes
+// through the shared parallel engine, and each cell's replica results
+// are summed in replica order afterwards, so every float sum is
+// bit-identical to a serial loop's for any worker count.
 func SLOSweep(severities, eclipseFracs []float64, replicas int) ([]SLOPoint, error) {
 	base := degradationConfig()
 	base.Window = 10 * time.Minute
 	cfg := slo.DefaultConfig()
+	var runs []sloRun
+	for _, ef := range eclipseFracs {
+		for _, sev := range severities {
+			for r := 0; r < replicas; r++ {
+				runs = append(runs, sloRun{severity: sev, eclipseFrac: ef, replica: r})
+			}
+		}
+	}
+	reps, err := par.MapErr(runs, func(run sloRun) (sloReplica, error) {
+		c := base
+		p := degrade.COTSProfile(run.severity)
+		p.EclipseFraction = run.eclipseFrac
+		c.Degrade = &p
+		c.Seed = par.ForkSeed(base.Seed, run.replica)
+		var wins []window.Window
+		c.OnWindow = func(w window.Window) { wins = append(wins, w) }
+		if _, err := netsim.Run(c); err != nil {
+			return sloReplica{}, err
+		}
+		rep := slo.Run(cfg, wins)
+		out := sloReplica{attainment: rep.Attainment, alerts: len(rep.Alerts)}
+		for _, a := range rep.Alerts {
+			if eclipseExit(wins, a.Window) {
+				out.exit++
+			}
+			if a.Cause != "unattributed" {
+				out.attributed++
+			}
+		}
+		return out, nil
+	}, par.Chunk(1))
+	if err != nil {
+		return nil, err
+	}
+
 	points := make([]SLOPoint, 0, len(severities)*len(eclipseFracs))
+	next := 0
 	for _, ef := range eclipseFracs {
 		for _, sev := range severities {
 			pt := SLOPoint{Severity: sev, EclipseFraction: ef}
 			var alerts, exit, attributed int
 			for r := 0; r < replicas; r++ {
-				c := base
-				p := degrade.COTSProfile(sev)
-				p.EclipseFraction = ef
-				c.Degrade = &p
-				c.Seed = par.ForkSeed(base.Seed, r)
-				var wins []window.Window
-				c.OnWindow = func(w window.Window) { wins = append(wins, w) }
-				if _, err := netsim.Run(c); err != nil {
-					return nil, err
-				}
-				rep := slo.Run(cfg, wins)
-				pt.Attainment += rep.Attainment
-				alerts += len(rep.Alerts)
-				for _, a := range rep.Alerts {
-					if eclipseExit(wins, a.Window) {
-						exit++
-					}
-					if a.Cause != "unattributed" {
-						attributed++
-					}
-				}
+				rep := reps[next]
+				next++
+				pt.Attainment += rep.attainment
+				alerts += rep.alerts
+				exit += rep.exit
+				attributed += rep.attributed
 			}
 			n := float64(replicas)
 			pt.Attainment /= n

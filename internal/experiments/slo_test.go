@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"sudc/internal/par/partest"
 )
 
 // TestSLOSweepDeterministic pins E12's reproducibility: the sweep is a
@@ -82,5 +85,28 @@ func TestExtSLOTable(t *testing.T) {
 		if len(r) != len(tbl.Header) {
 			t.Errorf("row %d: %d columns, want %d", ri, len(r), len(tbl.Header))
 		}
+	}
+}
+
+// TestSLOSweepInvariantUnderWorkerCount pins E12's parallel sweep: the
+// cell × replica runs go through the shared engine and each cell sums
+// its replicas in replica order, so the points, float sums included,
+// must not depend on how many workers ran them.
+func TestSLOSweepInvariantUnderWorkerCount(t *testing.T) {
+	sweep := func(t *testing.T, workers int) []SLOPoint {
+		partest.WithDefaultWorkers(t, workers)
+		pts, err := SLOSweep([]float64{0, 1}, []float64{0.25, 0.50}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	ref := sweep(t, 1)
+	for _, w := range []int{2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			if got := sweep(t, w); !reflect.DeepEqual(got, ref) {
+				t.Errorf("points differ from workers=1:\n%+v\nvs\n%+v", got, ref)
+			}
+		})
 	}
 }

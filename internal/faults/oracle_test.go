@@ -120,15 +120,17 @@ func TestBuildModulatedMatchesOracle(t *testing.T) {
 
 func TestBuildSeedsOnlyDrawingStreams(t *testing.T) {
 	// A fault-free build allocates only its Deaths slice: no node or ISL
-	// stream draws, so none is seeded. A death-only build forks one
-	// generator (rand.New and its source) and reseeds it per node.
+	// stream draws, so none is seeded. A death-only build reseeds the
+	// pooled generator per node, so once the pool is warm it too
+	// allocates only Deaths (AllocsPerRun truncates the mean, so a rare
+	// pool miss after a GC does not show).
 	for _, tc := range []struct {
 		name string
 		s    Scenario
 		want float64
 	}{
 		{"fault-free", Scenario{}, 1},
-		{"deaths", Scenario{NodeMTTF: time.Hour}, 3},
+		{"deaths", Scenario{NodeMTTF: time.Hour}, 1},
 	} {
 		got := testing.AllocsPerRun(50, func() {
 			if _, err := BuildN(tc.s, 64, 4, time.Hour, 5); err != nil {

@@ -3,7 +3,17 @@ package netsim
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
+
+// TestFrameIs32Bytes pins the frame layout. A saturated downlink queue
+// holds ~45k frames in a 65,536-slot ring, so each byte a field adds
+// grows that one arena by 64 KB.
+func TestFrameIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(frame{}); got != 32 {
+		t.Errorf("frame is %d bytes, want 32", got)
+	}
+}
 
 // TestFrameDequeAgainstSliceModel drives the ring deque with a random
 // operation mix — including the wrap-inducing pushFront and the

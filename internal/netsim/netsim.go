@@ -470,11 +470,13 @@ type event struct {
 	seq  int     // heap tiebreak for determinism
 }
 
+// frame is 32 bytes: a saturated downlink or ISL queue holds tens of
+// thousands of them in one ring, so the field widths set the arena.
 type frame struct {
 	id    int64   // stable 1-based frame ID, assigned in capture order
 	born  float64 // generation time, s
 	value float64 // analyzer value draw in [0,1): the top InsightFraction quantile is an insight
-	tries int     // failed ISL transmission attempts
+	tries int32   // failed ISL transmission attempts (2^31 at the 60 s backoff cap is 4,000 simulated years)
 	tier  int8    // placement.Tier the frame was routed to (placement runs only)
 }
 
@@ -517,8 +519,9 @@ func RunReplicas(c Config, replicas, workers int) ([]Stats, error) {
 	}
 	if c.OnWindow != nil {
 		// Replicas run concurrently; their window streams would
-		// interleave nondeterministically through one callback. Run each
-		// replica serially (forking seeds with par.ForkSeed) instead.
+		// interleave nondeterministically through one callback. Give
+		// each replica its own Run and callback instead (forking seeds
+		// with par.ForkSeed), as experiments.SLOSweep does.
 		return nil, errors.New("netsim: OnWindow is per-run; RunReplicas cannot multiplex it")
 	}
 	out := make([]Stats, replicas)

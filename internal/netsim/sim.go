@@ -652,10 +652,11 @@ func (s *simulator) failHead(ei int) {
 	l := &s.links[ei]
 	f := l.queue.front()
 	f.tries++
-	if s.c.RetryLimit > 0 && f.tries > s.c.RetryLimit {
+	tries := int(f.tries)
+	if s.c.RetryLimit > 0 && tries > s.c.RetryLimit {
 		if s.tr != nil {
 			s.tr.Record(trace.Event{T: s.now, Kind: trace.Lost, Frame: f.id,
-				Node: -1, Attempt: f.tries, Cause: l.outageName, Edge: l.label})
+				Node: -1, Attempt: tries, Cause: l.outageName, Edge: l.label})
 		}
 		l.queue.popFront()
 		s.stats.FramesLost++
@@ -668,13 +669,13 @@ func (s *simulator) failHead(ei int) {
 	s.stats.FramesRetried++
 	s.win.Count(window.CntRetried, 1)
 	l.retryArmed = true
-	delay := backoff(f.tries)
+	delay := backoff(tries)
 	if s.rec != nil {
 		s.rec.backoff.Observe(delay)
 	}
 	if s.tr != nil {
 		s.tr.Record(trace.Event{T: s.now, Kind: trace.Retry, Frame: f.id,
-			Node: -1, Attempt: f.tries, Backoff: delay, Cause: l.outageName, Edge: l.label})
+			Node: -1, Attempt: tries, Backoff: delay, Cause: l.outageName, Edge: l.label})
 	}
 	s.push(event{at: s.now + delay, kind: evISLRetry, who: ei})
 }

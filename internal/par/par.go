@@ -1,8 +1,9 @@
 // Package par is the repository's shared parallel evaluation engine.
 // Every embarrassingly-parallel hot path — the 7168-design accelerator
 // DSE, the trade-study sweeps, the Monte-Carlo reliability and lifecycle
-// runs, and the experiment runner — funnels through the primitives here
-// rather than hand-rolling goroutines.
+// runs, the DES replica and exhibit sweeps, and the experiment runner —
+// funnels through the primitives here rather than hand-rolling
+// goroutines.
 //
 // Guarantees:
 //
@@ -15,9 +16,26 @@
 //   - Cancellation on error: once any item fails, workers stop picking
 //     up new work. Among the failures actually observed, the error for
 //     the lowest item index is returned.
-//   - Bounded workers: at most Workers(n) goroutines (default
-//     GOMAXPROCS) run at once; work is handed out in chunks so cheap
-//     items do not drown in scheduling overhead.
+//   - One worker budget per process: the caller of ForNErr works its
+//     own run, and extra helper goroutines come from a process-wide
+//     count capped at DefaultWorkers()−1. A worker that claims a chunk
+//     with work left behind it recruits one helper, while the run is
+//     under its Workers(n)−1 and the count has room; a helper returns
+//     its slot when its run drains, and a caller lends its own slot
+//     while it waits for its helpers. Workers(n) is therefore an upper
+//     bound, not a pool size. A run nested inside another run's item
+//     goes inline while every slot is busy and picks up a helper at its
+//     next claim once one frees, so nested runs never have more than
+//     DefaultWorkers() items in flight between them (one top-level
+//     caller). Work is handed out in chunks so cheap items do not drown
+//     in scheduling overhead.
+//
+// Because a run may execute entirely on its caller, items must never
+// wait on one another: an item that blocks until a sibling item starts
+// deadlocks when no helper is free. For the same reason an item must
+// not wait on a parallel run in another goroutine: that run's caller,
+// taking back the slot it lent, may be waiting for one the item's own
+// run holds.
 //
 // The package is stdlib-only and has no dependencies on the rest of the
 // repository, so any layer may use it.
@@ -56,8 +74,11 @@ func (opt Option) apply(o *options) {
 	}
 }
 
-// Workers bounds the number of concurrent workers. Values ≤ 0 keep the
-// default (DefaultWorkers).
+// Workers bounds the number of goroutines working one run: its caller
+// plus at most n−1 helpers. It is an upper bound, not a pool size — the
+// helpers come from the process-wide budget (see the package comment),
+// so a run gets fewer while other runs hold the slots. Values ≤ 0 keep
+// the default (DefaultWorkers).
 func Workers(n int) Option {
 	if n < 0 {
 		n = 0
@@ -91,9 +112,11 @@ func DefaultWorkers() int {
 
 // SetDefaultWorkers overrides the process-wide default worker count and
 // returns the previous override (0 if none was set). n ≤ 0 removes the
-// override, restoring GOMAXPROCS. Because worker count never affects
-// results, this only changes how much hardware parallel runs may use —
-// it is the hook behind the CLI worker flags and the scaling benchmarks.
+// override, restoring GOMAXPROCS. The default also sizes the helper
+// budget every run draws from, so it bounds the whole process, nested
+// runs included. Because worker count never affects results, this only
+// changes how much hardware parallel runs may use — it is the hook
+// behind the experiments -workers flag and the scaling benchmarks.
 func SetDefaultWorkers(n int) int {
 	if n < 0 {
 		n = 0
@@ -135,6 +158,71 @@ func currentObserver() Observer {
 	return nil
 }
 
+// slots counts the helper slots in use across the process: helper
+// goroutines alive, less callers lending their own slot while they wait
+// for their helpers. Every increment checks it against the
+// DefaultWorkers()−1 read when its run started, so with one top-level
+// caller at most DefaultWorkers() goroutines run items at once, however
+// deeply runs nest.
+var slots atomic.Int32
+
+// reclaimCond wakes callers waiting in reclaimSlot when a slot frees.
+var (
+	reclaimMu      sync.Mutex
+	reclaimCond    = sync.NewCond(&reclaimMu)
+	reclaimWaiters atomic.Int32
+)
+
+// acquireSlot takes a helper slot if fewer than limit are in use.
+func acquireSlot(limit int32) bool {
+	for {
+		cur := slots.Load()
+		if cur >= limit {
+			return false
+		}
+		if slots.CompareAndSwap(cur, cur+1) {
+			return true
+		}
+	}
+}
+
+// releaseSlot returns a slot and wakes any caller waiting to reclaim
+// one.
+func releaseSlot() {
+	slots.Add(-1)
+	if reclaimWaiters.Load() > 0 {
+		reclaimMu.Lock()
+		reclaimCond.Broadcast()
+		reclaimMu.Unlock()
+	}
+	if slotReleased != nil {
+		slotReleased()
+	}
+}
+
+// slotReleased, when non-nil, runs after every slot release: the
+// budget tests wait on it instead of sleeping. Set it only while no run
+// is in flight.
+var slotReleased func()
+
+// reclaimSlot takes back the slot a caller lent while it waited for
+// its helpers, blocking until the budget has room. It cannot deadlock:
+// every other slot holder is running items (which never wait on one
+// another) or lending its own slot, and each lent slot lowers the
+// count, so once the holders drain the count sits below any limit.
+func reclaimSlot(limit int32) {
+	if acquireSlot(limit) {
+		return
+	}
+	reclaimMu.Lock()
+	reclaimWaiters.Add(1)
+	for !acquireSlot(limit) {
+		reclaimCond.Wait()
+	}
+	reclaimWaiters.Add(-1)
+	reclaimMu.Unlock()
+}
+
 // runState is one parallel run's dispatch descriptor: the shared claim
 // cursor, failure tracking, and chunk geometry the workers consult. It
 // used to live in locals captured by a per-call worker closure — one
@@ -143,23 +231,28 @@ func currentObserver() Observer {
 // cost a pool hit: hot paths that issue thousands of small parallel
 // runs (DES replica sweeps, DSE shards) stop paying per-call garbage.
 type runState struct {
-	next     atomic.Int64 // next unclaimed item index
-	failIdx  atomic.Int64 // lowest failing index seen (n = none)
-	mu       sync.Mutex
-	firstErr error
-	firstIdx int64
-	wg       sync.WaitGroup
-	n        int64
-	chunk    int64
-	fn       func(i int) error
-	obs      Observer
+	next       atomic.Int64 // next unclaimed item index
+	failIdx    atomic.Int64 // lowest failing index seen (n = none)
+	helpers    atomic.Int32 // helpers this run has recruited
+	maxHelpers int32        // Workers(n) − 1
+	slotLimit  int32        // DefaultWorkers() − 1 when the run started
+	mu         sync.Mutex
+	firstErr   error
+	firstIdx   int64
+	wg         sync.WaitGroup
+	n          int64
+	chunk      int64
+	fn         func(i int) error
+	obs        Observer
 }
 
 // statePool recycles runState descriptors across ForNErr calls.
 var statePool = sync.Pool{New: func() any { return new(runState) }}
 
-func (st *runState) worker() {
-	defer st.wg.Done()
+// work claims chunks until the run drains or fails. The caller and
+// every helper run it; a claim that leaves work behind it recruits one
+// more helper.
+func (st *runState) work() {
 	n, chunk := st.n, st.chunk
 	for {
 		start := st.next.Add(chunk) - chunk
@@ -167,8 +260,10 @@ func (st *runState) worker() {
 			return
 		}
 		end := start + chunk
-		if end > n {
+		if end >= n {
 			end = n
+		} else {
+			st.recruit()
 		}
 		for i := start; i < end; i++ {
 			if i >= st.failIdx.Load() {
@@ -201,9 +296,38 @@ func (st *runState) worker() {
 	}
 }
 
-// ForNErr calls fn(0..n-1) across a bounded worker pool and waits for
-// completion. After the first failure, no new chunks are claimed; the
-// error returned is the one with the lowest index among those observed.
+// recruit starts one helper if the run is under its Workers bound and
+// the process budget has room.
+func (st *runState) recruit() {
+	if st.helpers.Load() >= st.maxHelpers || !acquireSlot(st.slotLimit) {
+		return
+	}
+	if st.helpers.Add(1) > st.maxHelpers {
+		// Another worker of this run took the last place first.
+		st.helpers.Add(-1)
+		releaseSlot()
+		return
+	}
+	// A recruiting worker is itself counted in wg (or is the caller,
+	// before its Wait), so this Add never races a Wait at zero.
+	st.wg.Add(1)
+	go st.helper()
+}
+
+// helper works the run until it drains, then returns its slot. It
+// touches nothing of st after Done: the caller pools st once Wait
+// returns.
+func (st *runState) helper() {
+	st.work()
+	releaseSlot()
+	st.wg.Done()
+}
+
+// ForNErr calls fn(0..n-1) and waits for completion. The caller works
+// the run itself; helpers join it from the process-wide budget, at most
+// Workers(n)−1 of them. After the first failure, no new chunks are
+// claimed; the error returned is the one with the lowest index among
+// those observed.
 func ForNErr(n int, fn func(i int) error, opts ...Option) error {
 	if n <= 0 {
 		return nil
@@ -212,9 +336,10 @@ func ForNErr(n int, fn func(i int) error, opts ...Option) error {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
+	def := DefaultWorkers()
 	workers := o.workers
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = def
 	}
 	if workers > n {
 		workers = n
@@ -249,15 +374,21 @@ func ForNErr(n int, fn func(i int) error, opts ...Option) error {
 	st := statePool.Get().(*runState)
 	st.next.Store(0)
 	st.failIdx.Store(int64(n))
+	st.helpers.Store(0)
+	st.maxHelpers = int32(workers - 1)
+	st.slotLimit = int32(def - 1)
 	st.firstErr = nil
 	st.firstIdx = int64(n)
 	st.n, st.chunk = int64(n), int64(chunk)
 	st.fn, st.obs = fn, obs
-	st.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go st.worker()
+	st.work()
+	if st.helpers.Load() > 0 {
+		// Lend this goroutine's slot to the rest of the process while it
+		// idles: a helper's nested run may use it.
+		releaseSlot()
+		st.wg.Wait()
+		reclaimSlot(st.slotLimit)
 	}
-	st.wg.Wait()
 	err := st.firstErr
 	// Drop the caller's references before pooling so the descriptor
 	// never retains a closure (and whatever it captured) across runs.

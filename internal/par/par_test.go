@@ -217,3 +217,129 @@ func TestResultsInvariantUnderWorkerCount(t *testing.T) {
 		}
 	}
 }
+
+// withDefaultWorkers pins the process default worker count, and with it
+// the helper budget, for the rest of the test.
+func withDefaultWorkers(t *testing.T, n int) {
+	t.Helper()
+	prev := SetDefaultWorkers(n)
+	t.Cleanup(func() { SetDefaultWorkers(prev) })
+}
+
+// raise lifts peak to cur if cur is higher.
+func raise(peak *atomic.Int64, cur int64) {
+	for {
+		p := peak.Load()
+		if cur <= p || peak.CompareAndSwap(p, cur) {
+			return
+		}
+	}
+}
+
+// TestNestedRunsShareBudget pins the process-wide budget: an outer run
+// whose items start nested runs never has more than DefaultWorkers()
+// leaf items in flight. Pools per call would run each nested run on
+// its own full pool (2×2 = 4 items at a default of 2).
+func TestNestedRunsShareBudget(t *testing.T) {
+	for _, w := range []int{2, 3} {
+		withDefaultWorkers(t, w)
+		var inflight, peak atomic.Int64
+		ForN(4, func(int) {
+			ForN(16, func(int) {
+				raise(&peak, inflight.Add(1))
+				// Hold the item in flight so that overlapping pools show.
+				time.Sleep(50 * time.Microsecond)
+				inflight.Add(-1)
+			}, Chunk(1))
+		}, Chunk(1))
+		if p := peak.Load(); p > int64(w) {
+			t.Errorf("default workers %d: %d nested items in flight at once", w, p)
+		}
+	}
+}
+
+// watchReleases routes every slot release into the returned channel
+// for the rest of the test.
+func watchReleases(t *testing.T) <-chan struct{} {
+	t.Helper()
+	// Each test releases a handful of slots; the buffer holds them all,
+	// so the hook never blocks a helper on a receive the test skips.
+	released := make(chan struct{}, 16)
+	slotReleased = func() { released <- struct{}{} }
+	t.Cleanup(func() { slotReleased = nil })
+	return released
+}
+
+// await reports whether ch delivered before a generous deadline; the
+// deadline only keeps a broken engine from hanging the test binary.
+func await(t *testing.T, ch <-chan struct{}, what string) bool {
+	select {
+	case <-ch:
+		return true
+	case <-time.After(10 * time.Second):
+		t.Errorf("timed out waiting for %s", what)
+		return false
+	}
+}
+
+// TestNestedRunRecruitsFreedHelper: a nested run started while the
+// budget is full runs inline on its caller, and gains a helper at its
+// next claim once the sibling holding the only slot has finished.
+func TestNestedRunRecruitsFreedHelper(t *testing.T) {
+	withDefaultWorkers(t, 2) // one helper slot
+	released := watchReleases(t)
+	siblingStarted := make(chan struct{})
+	finishSibling := make(chan struct{})
+	helperJoined := make(chan struct{})
+	ForN(2, func(i int) {
+		if i == 1 {
+			// Claimed by the outer run's helper, which holds the only slot.
+			close(siblingStarted)
+			<-finishSibling
+			return
+		}
+		<-siblingStarted
+		ForN(3, func(j int) {
+			switch j {
+			case 0:
+				// The caller's claim found the budget full.
+				close(finishSibling)
+				await(t, released, "the sibling's helper to return its slot")
+			case 1:
+				// The caller's claim of item 1 recruited the freed slot,
+				// and only that helper can claim item 2.
+				await(t, helperJoined, "a helper to join the nested run")
+			case 2:
+				close(helperJoined)
+			}
+		}, Chunk(1))
+	}, Chunk(1))
+}
+
+// TestNestedRunBorrowsWaitingCallersSlot: a caller that has run out of
+// its own work lends its slot while it waits, so a nested run on its
+// helper gains a helper even though that helper holds the only slot.
+func TestNestedRunBorrowsWaitingCallersSlot(t *testing.T) {
+	withDefaultWorkers(t, 2)
+	released := watchReleases(t)
+	siblingStarted := make(chan struct{})
+	helperJoined := make(chan struct{})
+	ForN(2, func(i int) {
+		if i == 0 {
+			// The caller's own item: once it returns, the caller waits.
+			<-siblingStarted
+			return
+		}
+		close(siblingStarted)
+		if !await(t, released, "the waiting caller to lend its slot") {
+			return
+		}
+		ForN(2, func(j int) {
+			if j == 0 {
+				await(t, helperJoined, "a helper to join the nested run")
+				return
+			}
+			close(helperJoined)
+		}, Chunk(1))
+	}, Chunk(1))
+}
