@@ -101,9 +101,11 @@ type placementResult struct {
 // policy — static-to-space, static-to-cloud, static-to-edge (the
 // M/M/c anchor), greedy, and queue-aware — over a 30-minute horizon of
 // the 64-satellite reference constellation. The cell × policy runs are
-// independent, so they go through the shared parallel engine; each
-// config is a pure function of its cell and policy, so the points are
-// identical for any worker count.
+// independent, so they go through the shared parallel engine one run
+// per claim (a run is milliseconds of DES, and a 24 frames/min cell
+// simulates 48× the frames of a 0.5 one); each config is a pure
+// function of its cell and policy, so the points are identical for any
+// worker count.
 func PlacementSweep(app workload.App, fpms, downlinkGbps []float64) ([]PlacementPoint, error) {
 	runs := make([]placementRun, 0, len(fpms)*len(downlinkGbps)*len(placementPolicies))
 	for _, gbps := range downlinkGbps {
