@@ -8,6 +8,7 @@ import (
 
 	"sudc/internal/orbit"
 	"sudc/internal/par"
+	"sudc/internal/par/partest"
 	"sudc/internal/thermal"
 	"sudc/internal/units"
 )
@@ -384,5 +385,23 @@ func TestSurviveAgingOnly(t *testing.T) {
 func TestBuildRejectsHugeDESHorizon(t *testing.T) {
 	if _, err := Build(COTSProfile(1), 250*365*24*time.Hour); err == nil {
 		t.Error("multi-century DES horizon must error toward the survivability run")
+	}
+}
+
+func TestSurviveAllocsPerTrial(t *testing.T) {
+	// Each trial reseeds a pooled generator, so an extra trial costs its
+	// accumulators and fleet, not a fresh ~4.9 KB source.
+	if partest.RaceEnabled {
+		t.Skip("the race detector drops pooled generators")
+	}
+	cfg := DefaultSurvivalConfig(0.5)
+	per := partest.BytesPerExtraItem(t, 20, 220, func(n int) {
+		cfg.Trials = n
+		if _, err := Survive(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per >= 1024 {
+		t.Errorf("Survive allocates %.0f B per extra trial, want < 1 KB", per)
 	}
 }

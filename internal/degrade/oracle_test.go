@@ -13,7 +13,9 @@ import (
 // satellite's age is a float advanced by 1/52 every week and its
 // capacity is capFactor × math.Pow(aging, age), evaluated per satellite
 // per week. SurvivalConfig.trial, which reads both from an aging table,
-// must match it bit for bit.
+// must match it bit for bit. The oracle's trials draw from math/rand's
+// own source, seeded with par.ForkSeed, so the check covers par's port
+// of that source too.
 func (cfg SurvivalConfig) trialOracle(rng *rand.Rand, capFactor float64, years int) trialAccum {
 	p := cfg.Policy
 	horizon := float64(p.Horizon)
@@ -128,7 +130,7 @@ func TestSurviveMatchesPowOracle(t *testing.T) {
 			years := int(math.Ceil(float64(cfg.Policy.Horizon)))
 			parts := make([]trialAccum, cfg.Trials)
 			for tr := range parts {
-				parts[tr] = cfg.trialOracle(par.ForkRand(cfg.Seed, tr), got.CapacityFactor, years)
+				parts[tr] = cfg.trialOracle(rand.New(rand.NewSource(par.ForkSeed(cfg.Seed, tr))), got.CapacityFactor, years)
 			}
 			if want := mergeTrials(parts, got.CapacityFactor, years); !reflect.DeepEqual(got, want) {
 				t.Errorf("Survive differs from the math.Pow oracle:\n got %+v\nwant %+v", got, want)

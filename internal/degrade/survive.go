@@ -118,7 +118,8 @@ type trialAccum struct {
 }
 
 // Survive runs the compressed-horizon program. Deterministic for any
-// worker count: trial tr draws from par.ForkRand(Seed, tr) only.
+// worker count: trial tr draws only from the stream seeded with
+// par.ForkSeed(Seed, tr), on a pooled generator.
 func Survive(cfg SurvivalConfig) (SurvivalResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return SurvivalResult{}, err
@@ -136,7 +137,9 @@ func Survive(cfg SurvivalConfig) (SurvivalResult, error) {
 
 	parts := make([]trialAccum, cfg.Trials)
 	par.ForN(cfg.Trials, func(tr int) {
-		parts[tr] = cfg.trial(par.ForkRand(cfg.Seed, tr), tab, years)
+		rng := par.GetRand(par.ForkSeed(cfg.Seed, tr))
+		parts[tr] = cfg.trial(rng, tab, years)
+		par.PutRand(rng)
 	})
 	return mergeTrials(parts, capFactor, years), nil
 }
@@ -169,15 +172,6 @@ func mergeTrials(parts []trialAccum, capFactor float64, years int) SurvivalResul
 // weekDt is the program's weekly time step in years.
 const weekDt = 1.0 / 52
 
-// programWeeks is the number of weekly steps over the policy horizon.
-// Program time is derived from this integer week index: repeated float
-// addition (t += dt) accumulates rounding error that misbuckets
-// year-boundary weeks and can run the loop a step long or short over a
-// multi-year horizon, so every year holds exactly 52 steps.
-func programWeeks(p lifecycle.Policy) int {
-	return int(math.Round(float64(p.Horizon) * 52))
-}
-
 // agingTable is indexed by the weeks a satellite has flown. Every
 // satellite enters the fleet at age 0 and ages by weekDt each step, so
 // a satellite flown k weeks has exactly age ages[k], the k-fold float
@@ -192,7 +186,7 @@ type agingTable struct {
 func (cfg SurvivalConfig) tabulateAging(capFactor float64) agingTable {
 	aging := 1 - cfg.Solar.Cell.AnnualDegradation
 	life := float64(cfg.Policy.DesignLifetime)
-	weeks := programWeeks(cfg.Policy)
+	weeks := cfg.Policy.ProgramWeeks()
 	var tab agingTable
 	for k, age := 0, 0.0; k <= weeks; k, age = k+1, age+weekDt {
 		tab.ages = append(tab.ages, age)
@@ -222,7 +216,7 @@ func (cfg SurvivalConfig) trial(rng *rand.Rand, tab agingTable, years int) trial
 	fleet := make([]int, size) // weeks flown by each flying satellite
 	a.built = float64(size)
 	var pending []float64
-	steps := programWeeks(p)
+	steps := p.ProgramWeeks()
 	for w := 0; w < steps; w++ {
 		t := float64(w) * weekDt
 		// Deliver arrivals.

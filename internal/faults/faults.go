@@ -8,10 +8,10 @@
 // hang renewal process from its own RNG stream i, seeded with
 // par.ForkSeed(seed, i), and each ISL edge's outage process from a
 // fixed stream index far above any plausible node count. A stream is
-// seeded only when its process draws, and one generator, pooled across
-// builds, serves every stream in turn, reseeded per stream (Seed
-// re-initializes the source fully, so each stream draws exactly what a
-// fresh par.ForkRand would).
+// seeded only when its process draws, and one generator from par's
+// pool (par.GetRand) serves every stream of a build in turn, reseeded
+// per stream (Seed re-initializes the source fully, so each stream
+// draws exactly what a fresh par.ForkRand would).
 // So
 //
 //   - the same inputs produce a byte-identical schedule on any machine
@@ -31,7 +31,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"sudc/internal/par"
@@ -245,9 +244,10 @@ func BuildModulated(s Scenario, nodes, edges int, horizon time.Duration, seed in
 	var gen *rand.Rand
 	stream := func(i int) *rand.Rand {
 		if gen == nil {
-			gen = genPool.Get().(*rand.Rand)
+			gen = par.GetRand(par.ForkSeed(seed, i))
+		} else {
+			gen.Seed(par.ForkSeed(seed, i))
 		}
-		gen.Seed(par.ForkSeed(seed, i))
 		return gen
 	}
 	sched := Schedule{Deaths: make([]float64, nodes)}
@@ -302,16 +302,10 @@ func BuildModulated(s Scenario, nodes, edges int, horizon time.Duration, seed in
 		})
 	}
 	if gen != nil {
-		genPool.Put(gen)
+		par.PutRand(gen)
 	}
 	return sched, nil
 }
-
-// genPool recycles BuildModulated's generator. A math/rand source is
-// ~5 KB, and a faulted sweep builds thousands of schedules; every
-// stream reseeds the generator fully, so a pooled one draws exactly
-// what a fresh par.ForkRand would.
-var genPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // modulatedHangs draws node i's hang renewal process with hazard
 // rate base × env(t) via Lewis–Shedler thinning: candidates arrive at

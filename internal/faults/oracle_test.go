@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -13,9 +14,11 @@ import (
 )
 
 // buildModulatedOracle is the direct reading of the determinism
-// contract: a fresh par.ForkRand per node and per ISL edge, whether or
-// not the stream draws. BuildModulated, which seeds one generator per
-// drawing stream, must match it byte for byte.
+// contract: a fresh math/rand generator seeded with par.ForkSeed per
+// node and per ISL edge, whether or not the stream draws. It stays on
+// the standard library's source, so it checks par's port as well:
+// BuildModulated, which reseeds one pooled generator per drawing
+// stream, must match it byte for byte.
 func buildModulatedOracle(s Scenario, nodes, edges int, horizon time.Duration, seed int64, env *RateEnvelope) (Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return Schedule{}, err
@@ -32,7 +35,7 @@ func buildModulatedOracle(s Scenario, nodes, edges int, horizon time.Duration, s
 	h := horizon.Seconds()
 	sched := Schedule{Deaths: make([]float64, nodes)}
 	for i := range sched.Deaths {
-		rng := par.ForkRand(seed, i)
+		rng := rand.New(rand.NewSource(par.ForkSeed(seed, i)))
 		death := math.Inf(1)
 		if s.NodeMTTF > 0 {
 			death = reliability.DrawLifetime(rng, s.NodeMTTF.Seconds())
@@ -62,7 +65,7 @@ func buildModulatedOracle(s Scenario, nodes, edges int, horizon time.Duration, s
 	})
 	if s.ISLOutageMTBF > 0 {
 		for e := 0; e < edges; e++ {
-			rng := par.ForkRand(seed, islStream+e)
+			rng := rand.New(rand.NewSource(par.ForkSeed(seed, islStream+e)))
 			for t := rng.ExpFloat64() * s.ISLOutageMTBF.Seconds(); t < h; {
 				dur := rng.ExpFloat64() * s.ISLOutageDuration.Seconds()
 				sched.Outages = append(sched.Outages, Outage{Start: t, Duration: dur, Edge: e})

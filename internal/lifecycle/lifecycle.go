@@ -74,6 +74,15 @@ func (p Policy) Validate() error {
 // fleetSize is the constellation size the policy maintains.
 func (p Policy) fleetSize() int { return p.Target + p.Spares }
 
+// ProgramWeeks is the number of weekly steps over the program horizon:
+// the horizon in weeks, rounded, and at least one. Simulations loop
+// over this integer count: a loop that adds 1/52 to a float until it
+// reaches the horizon accumulates rounding error and runs a step long
+// or short over a multi-year horizon (105 steps over 2 years).
+func (p Policy) ProgramWeeks() int {
+	return max(1, int(math.Round(float64(p.Horizon)*52)))
+}
+
 // ExpectedUnits returns the expected number of satellites built over the
 // horizon: the initial fleet plus scheduled replacements plus expected
 // early-failure replacements (each flying satellite fails at rate
@@ -124,29 +133,30 @@ type SimResult struct {
 // simulateTrial runs one program trial against a caller-owned RNG and
 // returns (satellites built, availability fraction, mean operational).
 func (p Policy) simulateTrial(rng *rand.Rand) (built int, avail, meanOp float64) {
-	horizon := float64(p.Horizon)
 	const dt = 1.0 / 52 // weekly steps
 
 	// ages of flying satellites; pending holds replacement arrival times.
+	// Both are filtered in place, so a trial allocates only their growth.
 	fleet := make([]float64, p.fleetSize())
 	built = len(fleet)
 	var pending []float64
-	steps := 0
+	steps := p.ProgramWeeks()
 	availSteps := 0
 	opSum := 0.0
-	for t := 0.0; t < horizon; t += dt {
+	t := 0.0
+	for w := 0; w < steps; w, t = w+1, t+dt {
 		// Deliver arrivals.
-		var stillPending []float64
+		keep := pending[:0]
 		for _, at := range pending {
 			if at <= t {
 				fleet = append(fleet, 0)
 			} else {
-				stillPending = append(stillPending, at)
+				keep = append(keep, at)
 			}
 		}
-		pending = stillPending
+		pending = keep
 		// Age, retire, and randomly fail.
-		var alive []float64
+		alive := fleet[:0]
 		for _, age := range fleet {
 			age += dt
 			if age >= float64(p.DesignLifetime) {
@@ -172,7 +182,6 @@ func (p Policy) simulateTrial(rng *rand.Rand) (built int, avail, meanOp float64)
 			pending = append(pending, t+float64(p.ReplacementLeadTime))
 			built++
 		}
-		steps++
 		if len(fleet) >= p.Target {
 			availSteps++
 		}
@@ -215,7 +224,9 @@ func (p Policy) Simulate(trials int, seed int64) (SimResult, error) {
 	}
 	parts := make([]trialResult, trials)
 	par.ForN(trials, func(tr int) {
-		b, a, o := p.simulateTrial(par.ForkRand(seed, tr))
+		rng := par.GetRand(par.ForkSeed(seed, tr))
+		b, a, o := p.simulateTrial(rng)
+		par.PutRand(rng)
 		parts[tr] = trialResult{units: float64(b), avail: a, op: o}
 	})
 	return p.aggregate(parts), nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sudc/internal/par"
+	"sudc/internal/par/partest"
 	"sudc/internal/units"
 	"sudc/internal/wright"
 )
@@ -265,5 +266,71 @@ func TestProgramCostRejectsBadCurve(t *testing.T) {
 	bad := wright.Curve{ProgressRatio: 1.5}
 	if _, err := p.ProgramCost(units.Dollars(1e8), units.Dollars(1e7), bad); err == nil {
 		t.Error("invalid learning curve must error")
+	}
+}
+
+func TestSimulateWeekCount(t *testing.T) {
+	// Regression: the trial loop used to run while a float time, advanced
+	// by 1/52 a week, stayed below the horizon, and accumulated rounding
+	// made it run 105 steps over 2 years. One satellite that retires
+	// after a year and is never replaced flies a fixed number of weeks,
+	// so its availability times the horizon in weeks must be that whole
+	// number for every horizon.
+	p := Policy{Target: 1, DesignLifetime: 1, ReplacementLeadTime: 100}
+	flown := -1.0
+	for h := 2; h <= 8; h++ {
+		p.Horizon = units.Years(h)
+		if got := p.ProgramWeeks(); got != 52*h {
+			t.Errorf("%d years: ProgramWeeks = %d, want %d", h, got, 52*h)
+		}
+		r, err := p.Simulate(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		weeks := r.Availability * float64(52*h)
+		if math.Abs(weeks-math.Round(weeks)) > 1e-9 {
+			t.Errorf("%d years: availability %v is no whole number of %d weeks", h, r.Availability, 52*h)
+			continue
+		}
+		if flown < 0 {
+			flown = weeks
+		} else if weeks != flown {
+			t.Errorf("%d years: satellite flew %v weeks, %v at 2 years", h, weeks, flown)
+		}
+	}
+}
+
+func TestSimulateShortHorizon(t *testing.T) {
+	// A horizon under half a week still runs one step rather than
+	// dividing by zero steps.
+	p := DefaultPolicy()
+	p.Horizon = 0.005
+	if got := p.ProgramWeeks(); got != 1 {
+		t.Errorf("ProgramWeeks = %d, want 1", got)
+	}
+	r, err := p.Simulate(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Availability != 1 || r.MeanOperational != float64(p.Target+p.Spares) {
+		t.Errorf("one-week program = %+v, want the full fleet available", r)
+	}
+}
+
+func TestSimulateAllocsPerTrial(t *testing.T) {
+	// Each trial reseeds a pooled generator and filters its fleet in
+	// place, so an extra trial costs its two small slices, not a fresh
+	// ~4.9 KB source or a slice per simulated week.
+	if partest.RaceEnabled {
+		t.Skip("the race detector drops pooled generators")
+	}
+	p := DefaultPolicy()
+	per := partest.BytesPerExtraItem(t, 20, 220, func(n int) {
+		if _, err := p.Simulate(n, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per >= 1024 {
+		t.Errorf("Simulate allocates %.0f B per extra trial, want < 1 KB", per)
 	}
 }

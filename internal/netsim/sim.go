@@ -12,6 +12,7 @@ import (
 	"sudc/internal/obs/latency"
 	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
+	"sudc/internal/par"
 	"sudc/internal/placement"
 	"sudc/internal/units"
 )
@@ -304,7 +305,7 @@ func (s *simulator) resetCommon(c Config, workers int) {
 	s.batchTimeout = c.BatchTimeout.Seconds()
 
 	if s.ownRand == nil {
-		s.ownRand = rand.New(rand.NewSource(c.Seed))
+		s.ownRand = par.NewRand(c.Seed)
 	} else {
 		s.ownRand.Seed(c.Seed)
 	}

@@ -8,6 +8,7 @@ package par
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -69,3 +70,39 @@ func TestForNErrReusesRunState(t *testing.T) {
 		t.Errorf("serial ForNErr allocates %.1f per call, want 0", avg)
 	}
 }
+
+// BenchmarkReseed compares starting a stream on math/rand's source with
+// starting it on the port: reseeding a generator in place, building a
+// fresh one, and taking a pooled one.
+func BenchmarkReseed(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		seed func(i int) *rand.Rand
+	}{
+		{"stdlib/reseed", func() func(int) *rand.Rand {
+			r := rand.New(rand.NewSource(0))
+			return func(i int) *rand.Rand { r.Seed(ForkSeed(1, i)); return r }
+		}()},
+		{"port/reseed", func() func(int) *rand.Rand {
+			r := NewRand(0)
+			return func(i int) *rand.Rand { r.Seed(ForkSeed(1, i)); return r }
+		}()},
+		{"stdlib/new", func(i int) *rand.Rand { return rand.New(rand.NewSource(ForkSeed(1, i))) }},
+		{"port/new", func(i int) *rand.Rand { return ForkRand(1, i) }},
+		{"port/pooled", func(i int) *rand.Rand {
+			r := GetRand(ForkSeed(1, i))
+			PutRand(r)
+			return r
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				reseedSink = bc.seed(i).Int63()
+			}
+		})
+	}
+}
+
+// reseedSink keeps BenchmarkReseed's draws live.
+var reseedSink int64

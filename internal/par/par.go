@@ -11,8 +11,10 @@
 //     so outputs are in input order regardless of completion order.
 //   - Worker-count invariance: results never depend on the worker count;
 //     only wall-clock time does. Seeded randomness stays invariant too
-//     when streams are forked per work item via ForkSeed/ForkRand
-//     instead of shared across items.
+//     when each work item seeds its own stream with ForkSeed instead of
+//     sharing one across items. The package's generators (NewRand,
+//     ForkRand, GetRand) draw exactly what math/rand's do and seed
+//     faster (see rand.go).
 //   - Cancellation on error: once any item fails, workers stop picking
 //     up new work. Among the failures actually observed, the error for
 //     the lowest item index is returned.
@@ -42,7 +44,6 @@
 package par
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -428,21 +429,4 @@ func MapErr[T, R any](items []T, fn func(T) (R, error), opts ...Option) ([]R, er
 		return nil, err
 	}
 	return out, nil
-}
-
-// ForkSeed derives the i-th independent child seed from a root seed via
-// the SplitMix64 finalizer, so sibling streams stay decorrelated even
-// for adjacent roots and indices. Monte-Carlo code forks one stream per
-// work item (trial or fixed-size shard) — never per worker — so results
-// are identical under any worker count.
-func ForkSeed(root int64, i int) int64 {
-	z := uint64(root) + 0x9e3779b97f4a7c15*(uint64(i)+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
-// ForkRand returns a *rand.Rand seeded with ForkSeed(root, i).
-func ForkRand(root int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(ForkSeed(root, i)))
 }

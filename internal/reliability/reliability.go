@@ -262,7 +262,9 @@ func Simulate(n, need int, tOverT float64, trials int, seed int64) (avail, expWo
 		if s == nShards-1 {
 			t = trials - s*mcShardTrials
 		}
-		ok, sum := simulateTrials(par.ForkRand(seed, s), n, need, tOverT, t)
+		rng := par.GetRand(par.ForkSeed(seed, s))
+		ok, sum := simulateTrials(rng, n, need, tOverT, t)
+		par.PutRand(rng)
 		parts[s] = partial{ok: ok, sum: sum}
 	})
 	okCount := 0
