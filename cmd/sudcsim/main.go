@@ -240,7 +240,7 @@ func runSurvivability(out io.Writer, cal degrade.Calibration, severity, eclipseF
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "survivability: %.0f-year program, %d+%d satellites, %s at severity %.2f\n\n",
+	fmt.Fprintf(out, "survivability: %g-year program, %d+%d satellites, %s at severity %.2f\n\n",
 		years, cfg.Policy.Target, cfg.Policy.Spares, cal.Name, severity)
 	fmt.Fprintf(out, "  capacity factor      %.3f\n", r.CapacityFactor)
 	fmt.Fprintf(out, "  units built          %.1f\n", r.UnitsBuilt)

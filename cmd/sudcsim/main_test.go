@@ -269,6 +269,19 @@ func TestHorizonYearsRunsSurvivability(t *testing.T) {
 	}
 }
 
+func TestHorizonYearsHeaderKeepsFraction(t *testing.T) {
+	// The header prints the horizon as given: a 2.5-year run (130 weekly
+	// steps) is not a "2-year program", nor 0.005 years a "0-year" one.
+	for _, c := range []struct{ years, want string }{
+		{"2.5", "survivability: 2.5-year program,"},
+		{"0.005", "survivability: 0.005-year program,"},
+	} {
+		if out := runSim(t, "-horizon-years", c.years); !strings.Contains(out, c.want) {
+			t.Errorf("-horizon-years %s: output missing %q:\n%s", c.years, c.want, out)
+		}
+	}
+}
+
 func TestHorizonYearsFinishesObservability(t *testing.T) {
 	// The survivability program returns before the DES; -metrics and
 	// -trace-out must still print the snapshot and write the file.

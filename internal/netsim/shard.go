@@ -54,8 +54,8 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,12 +97,14 @@ type shardRunner struct {
 	finalC []bool
 	done   []int
 	popped []int
-	active []int // cells to run this round, ascending
+	mark   []uint64 // buildActive's cell bitset, all zero between rounds
+	active []int    // cells to run this round, ascending
 	round  int
 
 	// Persistent worker pool (lazy; see runActiveCells). Workers pull
 	// active-list indices off workIdx, so the per-round cost is one
 	// channel send per worker instead of a goroutine spawn per cell.
+	// Each worker holds one slot of the par budget until stopPool.
 	started bool
 	wake    []chan struct{}
 	wg      sync.WaitGroup
@@ -138,6 +140,7 @@ func newShardRunner(c Config, plans []cellPlan, deg *degrade.Schedule) (*shardRu
 		lstamp:  make([]int, n),
 		finalC:  make([]bool, n),
 		done:    make([]int, n),
+		mark:    make([]uint64, (n+63)/64),
 	}
 	if n > 1 {
 		outT, _ := c.Topology.CellGraph()
@@ -161,14 +164,10 @@ func newShardRunner(c Config, plans []cellPlan, deg *degrade.Schedule) (*shardRu
 		r.eff = n
 	}
 	// More runners than schedulable cores is pure scheduler churn —
-	// results are shard-invariant, so the cap costs nothing. The floor
-	// of two keeps the pool's barrier machinery exercised (and under
-	// -race, raced) on single-core hosts.
+	// results are shard-invariant, so the cap costs nothing. The par
+	// budget may cap the pool further when it starts.
 	if maxp := runtime.GOMAXPROCS(0); r.eff > maxp {
 		r.eff = maxp
-		if r.eff < 2 {
-			r.eff = 2
-		}
 	}
 	multi := n > 1
 	for i := range plans {
@@ -303,8 +302,9 @@ func (r *shardRunner) computeLimits() {
 // an event below its limit (idle and drained cells are skipped) — and
 // fixes each one's run limit and final flag. The list is in ascending
 // cell order, the order the barrier delivers outboxes in. Only cells
-// settled by the Dijkstra pass can qualify, so the scan never touches
-// the full cell array on graphs with cross-cell edges.
+// settled by the Dijkstra pass can qualify, so on graphs with
+// cross-cell edges the scan visits the settled cells and one bit per
+// cell, never the full cell array.
 func (r *shardRunner) buildActive(tmin float64) {
 	r.active = r.active[:0]
 	if !r.hasCross {
@@ -322,16 +322,25 @@ func (r *shardRunner) buildActive(tmin float64) {
 			if lim >= r.horizon {
 				if nx <= r.horizon {
 					r.limit[u], r.lstamp[u], r.finalC[u] = r.horizon, r.round, true
-					r.active = append(r.active, u)
+					r.mark[u>>6] |= 1 << (u & 63)
 				}
 			} else if nx < lim {
 				r.finalC[u] = false
-				r.active = append(r.active, u)
+				r.mark[u>>6] |= 1 << (u & 63)
 			}
 		}
-		// Settle order is (T, cell) — re-canonicalize to ascending cell
-		// order, which fixes the delivery order at the barrier.
-		sort.Ints(r.active)
+		// Settle order is (T, cell); the barrier delivers in ascending
+		// cell order. One ascending pass over the bitset collects the
+		// marked cells in that order and clears the words it read.
+		for w, m := range r.mark {
+			if m == 0 {
+				continue
+			}
+			for ; m != 0; m &= m - 1 {
+				r.active = append(r.active, w<<6|bits.TrailingZeros64(m))
+			}
+			r.mark[w] = 0
+		}
 	}
 	r.syncStats.Rounds++
 	r.syncStats.CellRuns += len(r.active)
@@ -384,12 +393,20 @@ func (r *shardRunner) runShare() {
 	}
 }
 
-// startPool spawns the eff-1 persistent workers (the caller's
-// goroutine is the eff-th). Each waits on its wake channel, runs its
-// share of the active list, and signals the barrier WaitGroup.
+// startPool takes up to eff−1 helper slots from the par budget
+// without waiting and spawns one persistent worker per slot (the
+// caller's goroutine is the other runner). Each waits on its wake
+// channel, runs its share of the active list, and signals the barrier
+// WaitGroup. A run started while every slot is busy — a sharded run
+// inside a busy par item — gets no worker and runs its cells inline.
 func (r *shardRunner) startPool() {
 	r.started = true
-	r.wake = make([]chan struct{}, r.eff-1)
+	k := par.AcquireHelpers(r.eff - 1)
+	r.eff = k + 1
+	if k == 0 {
+		return
+	}
+	r.wake = make([]chan struct{}, k)
 	for i := range r.wake {
 		ch := make(chan struct{}, 1)
 		r.wake[i] = ch
@@ -402,7 +419,8 @@ func (r *shardRunner) startPool() {
 	}
 }
 
-// stopPool retires the persistent workers.
+// stopPool retires the persistent workers and returns their slots to
+// the par budget.
 func (r *shardRunner) stopPool() {
 	if !r.started {
 		return
@@ -410,6 +428,7 @@ func (r *shardRunner) stopPool() {
 	for _, ch := range r.wake {
 		close(ch)
 	}
+	par.ReleaseHelpers(len(r.wake))
 	r.started = false
 }
 

@@ -132,7 +132,7 @@ type simulator struct {
 	ownRand *rand.Rand
 
 	q   eventHeap
-	fq  frameHeap // per-satellite capture timers (see frameHeap)
+	fq  captureRing // per-satellite capture timers (see captureRing)
 	seq int
 
 	// Compiled topology. The star compiles to one source group, one
@@ -402,6 +402,7 @@ func (s *simulator) seedEvents(sched faults.Schedule) {
 			sat++
 		}
 	}
+	s.fq.sort()
 	for w, death := range sched.Deaths {
 		if death <= s.horizon {
 			s.push(event{at: death, kind: evWorkerDeath, who: w})
@@ -455,31 +456,31 @@ func (s *simulator) pushFrame(at float64, who int) {
 	s.fq.push(frameTimer{at: at, seq: s.seq, who: who})
 }
 
-// nextAt returns the next event time over both heaps, or +Inf when the
+// nextAt returns the next event time over both queues, or +Inf when the
 // simulation has drained.
 func (s *simulator) nextAt() float64 {
 	at := math.Inf(1)
 	if len(s.q.a) > 0 {
 		at = s.q.a[0].at
 	}
-	if len(s.fq.a) > 0 && s.fq.a[0].at < at {
-		at = s.fq.a[0].at
+	if s.fq.len() > 0 && s.fq.top().at < at {
+		at = s.fq.top().at
 	}
 	return at
 }
 
 // frameFirst reports whether the next event in (at, seq) order is the
-// frame-timer top rather than the event-heap top. Sequence numbers are
-// unique across both heaps, so the order is strict and the two-heap
+// earliest capture timer rather than the event-heap top. Sequence
+// numbers are unique across both queues, so the order is strict and the
 // split pops the exact event sequence a single heap would.
 func (s *simulator) frameFirst() bool {
-	if len(s.fq.a) == 0 {
+	if s.fq.len() == 0 {
 		return false
 	}
 	if len(s.q.a) == 0 {
 		return true
 	}
-	f, e := &s.fq.a[0], &s.q.a[0]
+	f, e := s.fq.top(), &s.q.a[0]
 	if f.at != e.at {
 		return f.at < e.at
 	}
@@ -930,7 +931,7 @@ func (s *simulator) runUntil(limit float64, final bool) {
 		var at float64
 		switch {
 		case timer:
-			at = s.fq.a[0].at
+			at = s.fq.top().at
 		case len(s.q.a) > 0:
 			at = s.q.a[0].at
 		default:
@@ -948,13 +949,13 @@ func (s *simulator) runUntil(limit float64, final bool) {
 }
 
 // applyFrame advances the simulation by one satellite capture — the
-// evFrameReady arm of apply, fused with the timer reschedule: the heap
-// minimum is overwritten in place instead of popped and re-pushed. The
-// successor draws its sequence number after any transfer events the
-// capture pushed, exactly like the old pop-then-push order, so event
-// numbering is unchanged.
+// evFrameReady arm of apply, fused with the timer reschedule: the
+// earliest timer is replaced by its successor in one ring move instead
+// of a pop and a push. The successor draws its sequence number after
+// any transfer events the capture pushed, as a pop followed by a push
+// would, so event numbering is unchanged.
 func (s *simulator) applyFrame() {
-	t := s.fq.a[0]
+	t := *s.fq.top()
 	s.advance(t.at, evFrameReady)
 	s.stats.FramesGenerated++
 	s.win.Count(window.CntGenerated, 1)

@@ -23,14 +23,16 @@ type popped struct {
 	id int64
 }
 
-// popAll drains both of s's heaps in the (at, seq) order runUntil
-// applies them. The frame heap only replaces its top, so a drained
-// capture timer is retired to +Inf in place.
+// popAll drains both of s's queues in the (at, seq) order runUntil
+// applies them, sorting the capture timers first as seedEvents does.
+// The capture ring only replaces its head, so a drained capture timer
+// is retired to +Inf.
 func popAll(s *simulator) []popped {
+	s.fq.sort()
 	var out []popped
 	for s.nextAt() < math.Inf(1) {
 		if s.frameFirst() {
-			t := s.fq.a[0]
+			t := *s.fq.top()
 			out = append(out, popped{t.at, int64(-1 - t.who)})
 			s.fq.replaceTop(frameTimer{at: math.Inf(1), seq: t.seq})
 			continue

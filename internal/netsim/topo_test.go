@@ -1,12 +1,14 @@
 package netsim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"sudc/internal/faults"
 	"sudc/internal/obs"
+	"sudc/internal/par"
 	"sudc/internal/topo"
 	"sudc/internal/units"
 	"sudc/internal/workload"
@@ -133,6 +135,74 @@ func TestShardCountInvariance(t *testing.T) {
 		if s != ref {
 			t.Errorf("shards=%d stats differ:\n ref %+v\n got %+v", sh, ref, s)
 		}
+	}
+}
+
+// TestShardPoolDrawsFromParBudget: the shard runner's pool workers are
+// par helpers. A sharded run inside a par item while every budget slot
+// is busy starts no pool goroutine and runs its cells inline; with the
+// slot free the pool takes it and gives it back when the run finishes.
+// Both runs return the shards=1 Stats.
+func TestShardPoolDrawsFromParBudget(t *testing.T) {
+	prev := par.SetDefaultWorkers(2) // one helper slot
+	t.Cleanup(func() { par.SetDefaultWorkers(prev) })
+	g, err := topo.Walker(4, 8, 5, 2, 250*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := TopologyConfig(workload.Suite[0], g)
+	c.Duration = 10 * time.Minute
+	c.Shards = 1
+	ref, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Shards = 2
+	plans, err := compile(c.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run executes the sharded run and reports how many pool workers
+	// it started.
+	run := func() (Stats, int) {
+		r, err := newShardRunner(c, plans, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r.window() {
+		}
+		workers := len(r.wake)
+		return r.finish(), workers
+	}
+
+	if held := par.AcquireHelpers(1); held != 1 {
+		t.Fatalf("took %d of the budget's one helper slot", held)
+	}
+	var busy Stats
+	var workers int
+	par.ForN(1, func(int) { busy, workers = run() })
+	par.ReleaseHelpers(1)
+	if workers != 0 {
+		t.Errorf("with every slot busy the pool started %d workers, want 0", workers)
+	}
+	if busy != ref {
+		t.Errorf("inline sharded stats differ:\n ref %+v\n got %+v", ref, busy)
+	}
+
+	if runtime.GOMAXPROCS(0) < 2 {
+		return // one core caps the pool at the caller alone
+	}
+	free, workers := run()
+	if workers != 1 {
+		t.Errorf("with the slot free the pool started %d workers, want 1", workers)
+	}
+	if free != ref {
+		t.Errorf("pooled sharded stats differ:\n ref %+v\n got %+v", ref, free)
+	}
+	if got := par.AcquireHelpers(1); got != 1 {
+		t.Error("the finished run kept its helper slot")
+	} else {
+		par.ReleaseHelpers(1)
 	}
 }
 

@@ -2,7 +2,7 @@ package netsim
 
 // Property tests for the incremental synchronization structures: the
 // tournament tree against a reference linear scan, and the capture
-// timer heap's fused replaceTop against a reference sorted schedule.
+// ring's fused replaceTop against a reference schedule.
 
 import (
 	"math"
@@ -77,12 +77,33 @@ func TestMinTreeLoadFrom(t *testing.T) {
 	}
 }
 
+// BenchmarkMinTreeUpdate times one key update of a 64-leaf tournament
+// tree, the next-event tree of a 64-cell Walker such as the 4096-
+// satellite benchmark layout.
+func BenchmarkMinTreeUpdate(b *testing.B) {
+	const leaves = 64
+	rng := rand.New(rand.NewSource(1))
+	leaf := make([]int, 1<<12)
+	key := make([]float64, len(leaf))
+	for i := range leaf {
+		leaf[i], key[i] = rng.Intn(leaves), rng.Float64()
+	}
+	mask := len(leaf) - 1
+	var tr minTree
+	tr.reset(leaves)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.update(leaf[i&mask], key[i&mask])
+	}
+}
+
 func TestFrameHeapReplaceTopMatchesReference(t *testing.T) {
-	// The fused pop+push must pop the exact (at, seq) order a reference
-	// priority queue yields.
+	// The capture ring's fused pop+push must pop the exact (at, seq)
+	// order a reference priority queue yields.
 	rng := rand.New(rand.NewSource(47))
 	const sats = 37
-	var h frameHeap
+	var h captureRing
 	h.grow(sats)
 	seq := 0
 	sched := make([]frameTimer, sats)
@@ -92,6 +113,7 @@ func TestFrameHeapReplaceTopMatchesReference(t *testing.T) {
 		h.push(ft)
 		sched[i] = ft
 	}
+	h.sort()
 	for step := 0; step < 2000; step++ {
 		// Reference: linear scan for the (at, seq) minimum.
 		m := 0
@@ -100,9 +122,9 @@ func TestFrameHeapReplaceTopMatchesReference(t *testing.T) {
 				m = i
 			}
 		}
-		top := h.a[0]
+		top := *h.top()
 		if top != sched[m] {
-			t.Fatalf("step %d: heap top %+v, reference min %+v", step, top, sched[m])
+			t.Fatalf("step %d: ring top %+v, reference min %+v", step, top, sched[m])
 		}
 		seq++
 		succ := frameTimer{at: top.at + 0.5 + rng.Float64(), seq: seq, who: top.who}

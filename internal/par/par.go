@@ -30,7 +30,9 @@
 //     next claim once one frees, so nested runs never have more than
 //     DefaultWorkers() items in flight between them (one top-level
 //     caller). Work is handed out in chunks so cheap items do not drown
-//     in scheduling overhead.
+//     in scheduling overhead. Goroutines kept outside ForNErr, such as
+//     a persistent pool, join the same budget through AcquireHelpers
+//     and ReleaseHelpers.
 //
 // Because a run may execute entirely on its caller, items must never
 // wait on one another: an item that blocks until a sibling item starts
@@ -222,6 +224,28 @@ func reclaimSlot(limit int32) {
 	}
 	reclaimWaiters.Add(-1)
 	reclaimMu.Unlock()
+}
+
+// AcquireHelpers takes up to n helper slots from the process-wide
+// budget without waiting and returns how many it took: 0 while every
+// slot is busy. It is for code that keeps its own goroutines working
+// beside the caller — a persistent pool — so they count against the
+// budget that ForNErr's helpers draw from. Give the slots back with
+// ReleaseHelpers once those goroutines are done.
+func AcquireHelpers(n int) int {
+	limit := int32(DefaultWorkers() - 1)
+	k := 0
+	for k < n && acquireSlot(limit) {
+		k++
+	}
+	return k
+}
+
+// ReleaseHelpers returns n slots taken by AcquireHelpers.
+func ReleaseHelpers(n int) {
+	for ; n > 0; n-- {
+		releaseSlot()
+	}
 }
 
 // runState is one parallel run's dispatch descriptor: the shared claim

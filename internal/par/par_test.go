@@ -343,3 +343,31 @@ func TestNestedRunBorrowsWaitingCallersSlot(t *testing.T) {
 		}, Chunk(1))
 	}, Chunk(1))
 }
+
+// TestAcquireHelpersSharesBudget: AcquireHelpers takes only the free
+// slots, without waiting, and a run started while it holds them all
+// goes inline on its caller until ReleaseHelpers gives them back.
+func TestAcquireHelpersSharesBudget(t *testing.T) {
+	withDefaultWorkers(t, 3) // two helper slots
+	if got := AcquireHelpers(5); got != 2 {
+		t.Fatalf("AcquireHelpers(5) took %d slots, want the budget's 2", got)
+	}
+	if got := AcquireHelpers(1); got != 0 {
+		ReleaseHelpers(got)
+		t.Errorf("AcquireHelpers took %d slots from a full budget", got)
+	}
+	var inflight, peak atomic.Int64
+	ForN(8, func(int) {
+		raise(&peak, inflight.Add(1))
+		time.Sleep(50 * time.Microsecond)
+		inflight.Add(-1)
+	}, Chunk(1))
+	ReleaseHelpers(2)
+	if p := peak.Load(); p != 1 {
+		t.Errorf("a run under a full budget had %d items in flight, want 1", p)
+	}
+	if got := AcquireHelpers(2); got != 2 {
+		t.Errorf("after ReleaseHelpers, AcquireHelpers(2) took %d slots", got)
+	}
+	ReleaseHelpers(2)
+}
