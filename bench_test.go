@@ -25,7 +25,6 @@ import (
 	"sudc/internal/obs/window"
 	"sudc/internal/par/partest"
 	"sudc/internal/placement"
-	"sudc/internal/reliability"
 	"sudc/internal/topo"
 	"sudc/internal/workload"
 )
@@ -134,21 +133,6 @@ func BenchmarkDSEParallel(b *testing.B) {
 			partest.WithDefaultWorkers(b, w)
 			for i := 0; i < b.N; i++ {
 				if _, err := dse.Explore(workload.Suite, accel.RTX3090Baseline); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMonteCarloParallel measures the sharded reliability
-// Monte-Carlo at fixed worker counts.
-func BenchmarkMonteCarloParallel(b *testing.B) {
-	for _, w := range benchWorkers {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			partest.WithDefaultWorkers(b, w)
-			for i := 0; i < b.N; i++ {
-				if _, _, err := reliability.Simulate(30, 10, 1.25, 200000, 42); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -249,6 +249,11 @@ func (f *Flags) placement(app workload.App, sized int, cfg *netsim.Config) (*pla
 	scen := placement.DefaultScenario(app)
 	scen.FramesPerMinute = cfg.Constellation.FramesPerMinute
 	scen.Satellites = f.Satellites
+	if cfg.Topology != nil {
+		// A graph defines its own capture satellites; -satellites
+		// only sizes the star.
+		scen.Satellites = cfg.Topology.Sats()
+	}
 	scen.SpacePower = units.KW(f.PowerKW)
 	scen.Workers = sized
 	scen.ISLRate = cfg.ISLRate

@@ -76,8 +76,8 @@ func TestStalledFramesMatchScopeDecompose(t *testing.T) {
 	// A multi-cell recording with ISL outages and SEFIs; two cells
 	// stall frames on a SEFI of their worker 0, so the cause name alone
 	// does not identify the interval. Each printed interval's frame
-	// count must equal the reference: the count of frames in
-	// latency.Decompose of that scope's events whose causes name it.
+	// count must equal the reference: the count of that scope's frames
+	// in latency.DecomposeAll whose causes name it.
 	const hours = 0.5
 	path := filepath.Join(t.TempDir(), "walker.jsonl")
 	out := runMon(t, "-planes", "4", "-sats-per-plane", "4", "-sudc-every", "2",
@@ -92,6 +92,15 @@ func TestStalledFramesMatchScopeDecompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	counts := map[string]map[string]int{} // scope -> cause -> frames
+	for _, fr := range latency.DecomposeAll(rec) {
+		if counts[fr.Scope] == nil {
+			counts[fr.Scope] = map[string]int{}
+		}
+		for _, c := range fr.Causes {
+			counts[fr.Scope][c]++
+		}
+	}
 	var want []string
 	nonzero := false
 	for _, scope := range append([]string{""}, rec.Scopes()...) {
@@ -101,15 +110,10 @@ func TestStalledFramesMatchScopeDecompose(t *testing.T) {
 		} else {
 			name = "main"
 		}
-		counts := map[string]int{}
-		for _, fr := range latency.Decompose(r.Events()) {
-			for _, c := range fr.Causes {
-				counts[c]++
-			}
-		}
 		for _, iv := range latency.DegradedIntervals(r.Events(), hours*3600) {
-			want = append(want, fmt.Sprintf("%s %s %.1fs %d", name, iv.Kind, iv.Start, counts[iv.Cause]))
-			nonzero = nonzero || counts[iv.Cause] > 0
+			n := counts[scope][iv.Cause]
+			want = append(want, fmt.Sprintf("%s %s %.1fs %d", name, iv.Kind, iv.Start, n))
+			nonzero = nonzero || n > 0
 		}
 	}
 	if len(rec.Scopes()) < 2 || !nonzero {

@@ -13,7 +13,6 @@ import (
 	"sudc/internal/accel"
 	"sudc/internal/constellation"
 	"sudc/internal/core"
-	"sudc/internal/dse"
 	"sudc/internal/experiments"
 	"sudc/internal/netsim"
 	"sudc/internal/planner"
@@ -154,27 +153,6 @@ func TestCostModelScalesAreConsistent(t *testing.T) {
 		}
 		if viaFacade.TCO() != direct.TCO() {
 			t.Errorf("%.1f kW: facade TCO %v != direct %v", kw, viaFacade.TCO(), direct.TCO())
-		}
-	}
-}
-
-// TestDSESpaceCoversAllSelectedDesigns: every design the DSE selects must
-// actually be a member of the advertised 7168-point space.
-func TestDSESpaceCoversAllSelectedDesigns(t *testing.T) {
-	r, err := experiments.DSEResult()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inSpace := map[string]bool{}
-	for _, c := range dse.Space() {
-		inSpace[c.Name] = true
-	}
-	if !inSpace[r.Global.Name] {
-		t.Errorf("global design %s not in the space", r.Global.Name)
-	}
-	for _, n := range r.Networks {
-		if !inSpace[n.BestConfig.Name] {
-			t.Errorf("%s: selected design %s not in the space", n.Network, n.BestConfig.Name)
 		}
 	}
 }

@@ -228,20 +228,6 @@ func (c Config) LayerEnergy(l workload.Layer) (LayerEnergy, error) {
 	}, nil
 }
 
-// NetworkEnergy returns the energy of one inference of the network, in
-// joules.
-func (c Config) NetworkEnergy(n workload.Network) (float64, error) {
-	var total float64
-	for _, l := range n.Layers {
-		e, err := c.LayerEnergy(l)
-		if err != nil {
-			return 0, fmt.Errorf("%s/%s: %w", n.Name, l.Name, err)
-		}
-		total += e.Joules()
-	}
-	return total, nil
-}
-
 // GPUModel is the commodity-GPU energy baseline for Fig. 17, anchored on
 // the paper's RTX 3090 measurements: effective energy per MAC is the
 // peak-rate energy inflated by the measured utilization (Table III) —

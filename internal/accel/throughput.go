@@ -2,7 +2,6 @@ package accel
 
 import (
 	"errors"
-	"fmt"
 
 	"sudc/internal/workload"
 )
@@ -79,20 +78,6 @@ func (c Config) LayerTiming(l workload.Layer) (LayerTiming, error) {
 		DRAMCycles:    dramWords / dramWordsPerCycle,
 		Utilization:   e.Utilization,
 	}, nil
-}
-
-// NetworkLatency returns the single-inference latency of the network on
-// one (non-pipelined) accelerator instance, in seconds.
-func (c Config) NetworkLatency(n workload.Network, clockHz float64) (float64, error) {
-	var total float64
-	for _, l := range n.Layers {
-		t, err := c.LayerTiming(l)
-		if err != nil {
-			return 0, fmt.Errorf("%s/%s: %w", n.Name, l.Name, err)
-		}
-		total += t.Seconds(clockHz)
-	}
-	return total, nil
 }
 
 // PipelineStage is one accelerator instance in a Figure 18 pipeline.

@@ -105,11 +105,3 @@ func (a Algorithm) DecodePower(raw units.DataRate) units.Power {
 	}
 	return units.Power(float64(raw) * a.DecodeEnergyPerBit)
 }
-
-// Savings returns the fractional link-capacity saving, 1 − 1/ratio.
-func (a Algorithm) Savings() float64 {
-	if a.Ratio <= 0 {
-		return 0
-	}
-	return 1 - 1/a.Ratio
-}

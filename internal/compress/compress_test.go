@@ -53,23 +53,6 @@ func TestNoneIsIdentity(t *testing.T) {
 	if r != raw {
 		t.Errorf("uncompressed rate changed: %v", r)
 	}
-	if None.Savings() != 0 {
-		t.Error("uncompressed savings must be zero")
-	}
-}
-
-func TestSavings(t *testing.T) {
-	// Asymptotic TCO savings in Fig. 10 are proportional to 1 − 1/ratio:
-	// CCSDS ≈ 33%, JPEG2000 ≈ 58%, neural = 75% of the ISL cost share.
-	if got := CCSDS.Savings(); !units.ApproxEqual(got, 1-1/1.5, 1e-12) {
-		t.Errorf("CCSDS savings = %v", got)
-	}
-	if got := Neural.Savings(); !units.ApproxEqual(got, 0.75, 1e-12) {
-		t.Errorf("neural savings = %v, want 0.75", got)
-	}
-	if (Algorithm{}).Savings() != 0 {
-		t.Error("degenerate algorithm must report zero savings")
-	}
 }
 
 func TestDecodePower(t *testing.T) {

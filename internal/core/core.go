@@ -393,11 +393,6 @@ func SweepTCO(cfgs []Config) ([]units.Dollars, error) {
 	return par.MapErr(cfgs, func(c Config) (units.Dollars, error) { return c.TCO() })
 }
 
-// SweepBreakdown mirrors SweepTCO for full cost breakdowns.
-func SweepBreakdown(cfgs []Config) ([]sscm.Breakdown, error) {
-	return par.MapErr(cfgs, func(c Config) (sscm.Breakdown, error) { return c.Breakdown() })
-}
-
 // MassItem is one row of a design's mass budget.
 type MassItem struct {
 	Name string

@@ -466,10 +466,10 @@ func TestSweepTCOMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestSweepBreakdownPropagatesErrors(t *testing.T) {
+func TestSweepTCOPropagatesErrors(t *testing.T) {
 	bad := DefaultConfig(units.KW(4))
 	bad.ComputePower = -1
-	if _, err := SweepBreakdown([]Config{DefaultConfig(units.KW(4)), bad}); err == nil {
+	if _, err := SweepTCO([]Config{DefaultConfig(units.KW(4)), bad}); err == nil {
 		t.Error("invalid config in sweep must error")
 	}
 }

@@ -32,13 +32,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"sudc/internal/faults"
 	"sudc/internal/orbit"
-	"sudc/internal/thermal"
-	"sudc/internal/units"
 )
 
 // ThrottlePoint is one knot of the throttle curve: at cold-plate
@@ -182,9 +179,8 @@ type Profile struct {
 	// non-negative (must stay < 1); negative derives it from Orbit.
 	EclipseFraction float64
 	// SunlitTempC and EclipseTempC are the steady-state cold-plate
-	// temperatures of the two orbit phases, °C. PanelTemps derives them
-	// from a radiator design; the COTSProfile defaults are the Xing
-	// hot/cold cases.
+	// temperatures of the two orbit phases, °C; the COTSProfile defaults
+	// are the Xing hot/cold cases.
 	SunlitTempC  float64
 	EclipseTempC float64
 }
@@ -333,15 +329,6 @@ func (s *Schedule) Identity() bool {
 	return true
 }
 
-// At returns the index of the phase active at time t (seconds).
-func (s *Schedule) At(t float64) int {
-	i := sort.Search(len(s.Phases), func(i int) bool { return s.Phases[i].Start > t }) - 1
-	if i < 0 {
-		return 0
-	}
-	return i
-}
-
 // End returns phase i's end time: the next phase's start, or the
 // horizon for the last phase.
 func (s *Schedule) End(i int) float64 {
@@ -396,21 +383,4 @@ func (s *Schedule) FaultEnvelope() *faults.RateEnvelope {
 		env.Mults[i] = s.Phases[i].FaultMult
 	}
 	return env
-}
-
-// PanelTemps derives the sunlit and eclipse steady-state cold-plate
-// temperatures (°C) from a radiator design: in sunlight the panel
-// rejects the full compute load plus absorbed solar flux; in eclipse
-// only the (power-capped) compute load. This is the bridge from the
-// thermal sizing of package thermal to the Profile's operating points.
-func PanelTemps(r thermal.Radiator, sunlitLoad, eclipseLoad units.Power, area units.Area) (sunC, eclC float64, err error) {
-	sun, err := thermal.EquilibriumTemp(r, sunlitLoad, area)
-	if err != nil {
-		return 0, 0, err
-	}
-	ecl, err := thermal.EquilibriumTemp(r, eclipseLoad, area)
-	if err != nil {
-		return 0, 0, err
-	}
-	return float64(sun) - 273.15, float64(ecl) - 273.15, nil
 }

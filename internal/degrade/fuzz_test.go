@@ -58,14 +58,5 @@ func FuzzBuildSchedule(f *testing.F) {
 		if cf := s.CapacityFactor(); !(cf > 0 && cf <= 1) {
 			t.Fatalf("capacity factor %v out of (0,1]", cf)
 		}
-		for _, q := range []float64{0, s.Horizon / 3, s.Horizon - 1e-9} {
-			i := s.At(q)
-			if s.Phases[i].Start > q {
-				t.Fatalf("At(%v) = %d starting later at %v", q, i, s.Phases[i].Start)
-			}
-			if i+1 < len(s.Phases) && s.Phases[i+1].Start <= q {
-				t.Fatalf("At(%v) = %d but phase %d already started", q, i, i+1)
-			}
-		}
 	})
 }

@@ -39,8 +39,8 @@ var (
 // SpaceSize is the number of designs in the exploration.
 const SpaceSize = 7 * 8 * 4 * 4 * 8
 
-// space materializes the full design space once; Explore and Space share
-// the cached slice, which must never be mutated.
+// space materializes the full design space once, in deterministic order;
+// callers share the cached slice, which must never be mutated.
 var space = sync.OnceValue(func() []accel.Config {
 	out := make([]accel.Config, 0, SpaceSize)
 	for _, px := range peXOptions {
@@ -60,15 +60,6 @@ var space = sync.OnceValue(func() []accel.Config {
 	}
 	return out
 })
-
-// Space enumerates the full design space in deterministic order. The
-// returned slice is the caller's to mutate.
-func Space() []accel.Config {
-	s := space()
-	out := make([]accel.Config, len(s))
-	copy(out, s)
-	return out
-}
 
 // NetworkResult is one network's row in Figure 17.
 type NetworkResult struct {

@@ -31,7 +31,7 @@ func explore(t *testing.T) Result {
 
 func TestSpaceSize(t *testing.T) {
 	// The paper: "A total of 7168 designs were evaluated."
-	s := Space()
+	s := space()
 	if len(s) != 7168 || len(s) != SpaceSize {
 		t.Fatalf("space has %d designs, want 7168", len(s))
 	}
@@ -44,6 +44,24 @@ func TestSpaceSize(t *testing.T) {
 			t.Fatalf("duplicate design %s", c.Name)
 		}
 		seen[c.Name] = true
+	}
+}
+
+// TestSelectedDesignsAreInSpace: every design the DSE selects must
+// actually be a member of the advertised 7168-point space.
+func TestSelectedDesignsAreInSpace(t *testing.T) {
+	r := explore(t)
+	inSpace := map[string]bool{}
+	for _, c := range space() {
+		inSpace[c.Name] = true
+	}
+	if !inSpace[r.Global.Name] {
+		t.Errorf("global design %s not in the space", r.Global.Name)
+	}
+	for _, n := range r.Networks {
+		if !inSpace[n.BestConfig.Name] {
+			t.Errorf("%s: selected design %s not in the space", n.Network, n.BestConfig.Name)
+		}
 	}
 }
 
@@ -131,18 +149,6 @@ func TestPerNetworkConfigsAreHeterogeneous(t *testing.T) {
 	}
 	if len(distinct) < 4 {
 		t.Errorf("only %d distinct per-network designs; expected real heterogeneity", len(distinct))
-	}
-}
-
-func TestSpaceReturnsIndependentCopies(t *testing.T) {
-	a, b := Space(), Space()
-	a[0].Name = "mutated"
-	a[0].PEX = 999
-	if b[0].Name == "mutated" || b[0].PEX == 999 {
-		t.Fatal("mutating one Space() result leaked into another")
-	}
-	if c := Space(); c[0].Name == "mutated" {
-		t.Fatal("mutation leaked into the cached space")
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"sudc/internal/core"
 	"sudc/internal/faults"
 	"sudc/internal/netsim"
-	"sudc/internal/obs/latency"
-	"sudc/internal/obs/trace"
 	"sudc/internal/reliability"
 	"sudc/internal/sscm"
 	"sudc/internal/units"
@@ -96,36 +94,6 @@ func OverprovisionSweep(replicas int) ([]OverprovisionPoint, error) {
 		})
 	}
 	return points, nil
-}
-
-// OverprovisionTraceCheck replays one spare-count setting of the E7
-// scenario with the frame-lineage flight recorder attached and
-// recomputes each replica's availability from the trace's fault events
-// alone (latency.AvailabilityFromTrace). It returns the replica-mean
-// availability both ways — DES-measured and trace-derived. The two are
-// equal to float64 rounding: the recording carries enough causal
-// information to reproduce the paper's availability numbers after the
-// fact, which is what makes saved traces trustworthy evidence.
-func OverprovisionTraceCheck(spares, replicas int) (des, fromTrace float64, err error) {
-	if spares < 0 || replicas < 1 {
-		return 0, 0, fmt.Errorf("experiments: bad trace check (spares %d, replicas %d)", spares, replicas)
-	}
-	c := overprovisionConfig(workload.Suite[0])
-	c.Workers = c.NeedWorkers + spares
-	rec := trace.New(0)
-	c.Trace = rec
-	all, err := netsim.RunReplicas(c, replicas, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	horizon := c.Duration.Seconds()
-	for r, s := range all {
-		des += s.Availability
-		events := rec.Child(fmt.Sprintf("r%03d", r)).Events()
-		fromTrace += latency.AvailabilityFromTrace(events, c.Workers, c.NeedWorkers, horizon)
-	}
-	n := float64(len(all))
-	return des / n, fromTrace / n, nil
 }
 
 // ExtOverprovision renders the overprovisioning sweep: DES availability

@@ -3,16 +3,16 @@
 // transient SEFI hangs, and ISL outages — into a concrete Schedule of
 // timestamped fault events that a simulation replays.
 //
-// Determinism contract: a Schedule is a pure function of
-// (Scenario, nodes, horizon, seed). Each node draws its lifetime and
-// hang renewal process from its own RNG stream i, seeded with
+// Determinism contract: a Schedule is a pure function of (Scenario,
+// nodes, edges, horizon, seed, envelope). Each node draws its lifetime
+// and hang renewal process from its own RNG stream i, seeded with
 // par.ForkSeed(seed, i), and each ISL edge's outage process from a
 // fixed stream index far above any plausible node count. A stream is
 // seeded only when its process draws, and one generator from par's
 // pool (par.GetRand) serves every stream of a build in turn, reseeded
 // per stream (Seed re-initializes the source fully, so each stream
-// draws exactly what a fresh par.ForkRand would).
-// So
+// draws exactly what a fresh par.NewRand(par.ForkSeed(seed, i))
+// would). So
 //
 //   - the same inputs produce a byte-identical schedule on any machine
 //     and under any worker count, and
@@ -122,8 +122,8 @@ const islStream = 1 << 30
 // times the multiplier of the segment containing t. Segments are
 // defined by ascending start times (Starts[0] must be 0) and their
 // multipliers (≥ 0). A nil envelope, or one whose multipliers are all
-// exactly 1, is the identity — BuildModulated then produces the exact
-// byte-identical schedule of BuildN.
+// exactly 1, is the identity — BuildModulated then produces the
+// unmodulated schedule byte for byte.
 type RateEnvelope struct {
 	Starts []float64
 	Mults  []float64
@@ -190,33 +190,19 @@ func (e *RateEnvelope) max() float64 {
 	return m
 }
 
-// Build materializes the schedule for `nodes` nodes and a single ISL
-// over the horizon. See the package comment for the determinism
-// contract.
-func Build(s Scenario, nodes int, horizon time.Duration, seed int64) (Schedule, error) {
-	if nodes < 1 {
-		return Schedule{}, errors.New("faults: need at least one node")
-	}
-	return BuildN(s, nodes, 1, horizon, seed)
-}
-
-// BuildN materializes the schedule for `nodes` nodes and `edges` ISL
-// links over the horizon. Unlike Build it accepts zero nodes (a relay
-// cell owns links but no workers) and zero edges (a leaf cell owns
-// workers but no links); nodes=0 with edges=0 is the valid empty
-// schedule. The schedule is a pure function of (Scenario, nodes, edges,
-// horizon, seed): each edge's outage process draws from its own forked
-// stream, so a schedule built for more edges extends — never perturbs —
-// the smaller one.
-func BuildN(s Scenario, nodes, edges int, horizon time.Duration, seed int64) (Schedule, error) {
-	return BuildModulated(s, nodes, edges, horizon, seed, nil)
-}
-
-// BuildModulated is BuildN with a time-varying SEFI intensity: the hang
-// renewal process of every node is thinned against the envelope, so the
-// instantaneous hang rate is base × env(t) — the mechanism behind
+// BuildModulated materializes the schedule for `nodes` nodes and `edges`
+// ISL links over the horizon. It accepts zero nodes (a relay cell owns
+// links but no workers) and zero edges (a leaf cell owns workers but no
+// links); nodes=0 with edges=0 is the valid empty schedule. Each edge's
+// outage process draws from its own forked stream, so a schedule built
+// for more edges extends — never perturbs — the smaller one. See the
+// package comment for the determinism contract.
+//
+// env makes the SEFI intensity time-varying: the hang renewal process
+// of every node is thinned against the envelope, so the instantaneous
+// hang rate is base × env(t) — the mechanism behind
 // temperature-modulated transient-fault rates. Node deaths and ISL
-// outages are not modulated. A nil or identity envelope reproduces the
+// outages are not modulated. A nil or identity envelope gives the
 // unmodulated schedule byte for byte (the thinning path, which consumes
 // extra RNG draws, is never entered).
 func BuildModulated(s Scenario, nodes, edges int, horizon time.Duration, seed int64, env *RateEnvelope) (Schedule, error) {
@@ -334,16 +320,4 @@ func modulatedHangs(hangs []Hang, s Scenario, node int, rng *rand.Rand, limit fl
 		hangs = append(hangs, Hang{Node: node, At: t, Recovery: rec})
 		t += rec
 	}
-}
-
-// DeadBy returns how many nodes have permanently died by time t
-// (seconds).
-func (s Schedule) DeadBy(t float64) int {
-	dead := 0
-	for _, d := range s.Deaths {
-		if d <= t {
-			dead++
-		}
-	}
-	return dead
 }

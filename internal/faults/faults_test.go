@@ -49,30 +49,27 @@ func TestScenarioValidate(t *testing.T) {
 }
 
 func TestBuildRejectsBadInputs(t *testing.T) {
-	if _, err := Build(Scenario{NodeMTTF: -1}, 4, time.Hour, 1); err == nil {
+	if _, err := BuildModulated(Scenario{NodeMTTF: -1}, 4, 1, time.Hour, 1, nil); err == nil {
 		t.Error("invalid scenario must error")
 	}
-	if _, err := Build(scenario(), 0, time.Hour, 1); err == nil {
-		t.Error("zero nodes must error")
-	}
-	if _, err := Build(scenario(), 4, 0, 1); err == nil {
+	if _, err := BuildModulated(scenario(), 4, 1, 0, 1, nil); err == nil {
 		t.Error("zero horizon must error")
 	}
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	a, err := Build(scenario(), 8, 2*time.Hour, 42)
+	a, err := BuildModulated(scenario(), 8, 1, 2*time.Hour, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(scenario(), 8, 2*time.Hour, 42)
+	b, err := BuildModulated(scenario(), 8, 1, 2*time.Hour, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same inputs must produce an identical schedule")
 	}
-	c, err := Build(scenario(), 8, 2*time.Hour, 43)
+	c, err := BuildModulated(scenario(), 8, 1, 2*time.Hour, 43, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +81,13 @@ func TestBuildDeterministic(t *testing.T) {
 func TestStreamsIndependentPerProcess(t *testing.T) {
 	// Disabling the ISL outage process must not change node draws, and
 	// vice versa: streams are forked per entity, never shared.
-	full, err := Build(scenario(), 8, 2*time.Hour, 7)
+	full, err := BuildModulated(scenario(), 8, 1, 2*time.Hour, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noISL := scenario()
 	noISL.ISLOutageMTBF, noISL.ISLOutageDuration = 0, 0
-	nodesOnly, err := Build(noISL, 8, 2*time.Hour, 7)
+	nodesOnly, err := BuildModulated(noISL, 8, 1, 2*time.Hour, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +96,7 @@ func TestStreamsIndependentPerProcess(t *testing.T) {
 	}
 	noNodes := scenario()
 	noNodes.SEFIMTBE, noNodes.SEFIRecovery = 0, 0
-	islToo, err := Build(noNodes, 8, 2*time.Hour, 7)
+	islToo, err := BuildModulated(noNodes, 8, 1, 2*time.Hour, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +105,30 @@ func TestStreamsIndependentPerProcess(t *testing.T) {
 	}
 }
 
+// deadBy returns how many of the schedule's nodes have permanently died
+// by time t (seconds).
+func deadBy(s Schedule, t float64) int {
+	dead := 0
+	for _, d := range s.Deaths {
+		if d <= t {
+			dead++
+		}
+	}
+	return dead
+}
+
 func TestDeathsExponential(t *testing.T) {
 	// Over many nodes, the fraction dead by t must track 1 − e^{-t/MTTF}.
 	const nodes = 4000
 	s := Scenario{NodeMTTF: 4 * time.Hour}
-	sched, err := Build(s, nodes, 8*time.Hour, 99)
+	sched, err := BuildModulated(s, nodes, 1, 8*time.Hour, 99, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tOverT := range []float64{0.5, 1, 1.5} {
 		tSec := tOverT * s.NodeMTTF.Seconds()
 		want := 1 - math.Exp(-tOverT)
-		got := float64(sched.DeadBy(tSec)) / nodes
+		got := float64(deadBy(sched, tSec)) / nodes
 		if math.Abs(got-want) > 0.03 {
 			t.Errorf("dead fraction at t=%.1fT: got %.3f, want %.3f", tOverT, got, want)
 		}
@@ -127,7 +136,7 @@ func TestDeathsExponential(t *testing.T) {
 }
 
 func TestHangsSortedBoundedAndBeforeDeath(t *testing.T) {
-	sched, err := Build(scenario(), 16, 4*time.Hour, 5)
+	sched, err := BuildModulated(scenario(), 16, 1, 4*time.Hour, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ func TestHangsSortedBoundedAndBeforeDeath(t *testing.T) {
 }
 
 func TestOutagesSortedNonOverlapping(t *testing.T) {
-	sched, err := Build(scenario(), 4, 6*time.Hour, 11)
+	sched, err := BuildModulated(scenario(), 4, 1, 6*time.Hour, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +193,9 @@ func TestBuildNEmptyShapes(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			sched, err := BuildN(scenario(), tt.nodes, tt.edges, 2*time.Hour, 9)
+			sched, err := BuildModulated(scenario(), tt.nodes, tt.edges, 2*time.Hour, 9, nil)
 			if err != nil {
-				t.Fatalf("BuildN(%d nodes, %d edges): %v", tt.nodes, tt.edges, err)
+				t.Fatalf("BuildModulated(%d nodes, %d edges): %v", tt.nodes, tt.edges, err)
 			}
 			if len(sched.Deaths) != tt.nodes {
 				t.Errorf("got %d deaths, want %d", len(sched.Deaths), tt.nodes)
@@ -199,10 +208,10 @@ func TestBuildNEmptyShapes(t *testing.T) {
 			}
 		})
 	}
-	if _, err := BuildN(scenario(), -1, 1, time.Hour, 1); err == nil {
+	if _, err := BuildModulated(scenario(), -1, 1, time.Hour, 1, nil); err == nil {
 		t.Error("negative nodes must error")
 	}
-	if _, err := BuildN(scenario(), 1, -1, time.Hour, 1); err == nil {
+	if _, err := BuildModulated(scenario(), 1, -1, time.Hour, 1, nil); err == nil {
 		t.Error("negative edges must error")
 	}
 }
@@ -238,18 +247,12 @@ func TestEnvelopeValidate(t *testing.T) {
 }
 
 func TestBuildModulatedIdentity(t *testing.T) {
-	// A nil or all-ones envelope must reproduce BuildN byte for byte —
-	// the thinning path consumes extra RNG draws and must not engage.
-	base, err := BuildN(scenario(), 8, 2, 2*time.Hour, 21)
+	// An all-ones envelope must reproduce the unmodulated (nil-envelope)
+	// schedule byte for byte — the thinning path consumes extra RNG
+	// draws and must not engage.
+	base, err := BuildModulated(scenario(), 8, 2, 2*time.Hour, 21, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	viaNil, err := BuildModulated(scenario(), 8, 2, 2*time.Hour, 21, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, viaNil) {
-		t.Error("nil envelope must match BuildN exactly")
 	}
 	ones := &RateEnvelope{Starts: []float64{0, 3600}, Mults: []float64{1, 1}}
 	viaOnes, err := BuildModulated(scenario(), 8, 2, 2*time.Hour, 21, ones)
@@ -257,7 +260,7 @@ func TestBuildModulatedIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(base, viaOnes) {
-		t.Error("all-ones envelope must match BuildN exactly")
+		t.Error("all-ones envelope must match the nil envelope exactly")
 	}
 }
 
@@ -267,7 +270,7 @@ func TestBuildModulatedScalesHangRate(t *testing.T) {
 	// outages must be untouched by modulation.
 	s := scenario()
 	s.NodeMTTF = 0 // no censoring, cleaner rate comparison
-	base, err := BuildN(s, 64, 1, 8*time.Hour, 33)
+	base, err := BuildModulated(s, 64, 1, 8*time.Hour, 33, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +329,7 @@ func TestBuildModulatedPostconditions(t *testing.T) {
 }
 
 func TestDeathsCensoredAtHorizon(t *testing.T) {
-	sched, err := Build(Scenario{NodeMTTF: time.Hour}, 64, 30*time.Minute, 3)
+	sched, err := BuildModulated(Scenario{NodeMTTF: time.Hour}, 64, 1, 30*time.Minute, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +339,7 @@ func TestDeathsCensoredAtHorizon(t *testing.T) {
 			t.Errorf("node %d death %v beyond horizon must be +Inf", i, d)
 		}
 	}
-	if sched.DeadBy(horizon) == 0 {
+	if deadBy(sched, horizon) == 0 {
 		t.Error("with MTTF = 2×horizon over 64 nodes, some deaths expected")
 	}
 }

@@ -7,14 +7,15 @@ import (
 	"time"
 )
 
-// FuzzBuildN fuzzes Scenario×shape inputs through BuildN and checks the
-// schedule postconditions the DES replay relies on: every death beyond
-// the horizon censored to +Inf, hangs sorted by (At, Node) and
-// non-overlapping per node and never after that node's death, outages
-// sorted by (Start, Edge) and non-overlapping per edge. Invalid inputs
-// must error rather than panic or emit a malformed schedule, and every
-// schedule must equal the per-stream oracle's.
-func FuzzBuildN(f *testing.F) {
+// FuzzBuildModulated fuzzes Scenario×shape inputs through an unmodulated
+// BuildModulated and checks the schedule postconditions the DES replay
+// relies on: every death beyond the horizon censored to +Inf, hangs
+// sorted by (At, Node) and non-overlapping per node and never after
+// that node's death, outages sorted by (Start, Edge) and non-overlapping
+// per edge. Invalid inputs must error rather than panic or emit a
+// malformed schedule, and every schedule must equal the per-stream
+// oracle's.
+func FuzzBuildModulated(f *testing.F) {
 	f.Add(int64(4*time.Hour), int64(30*time.Minute), int64(45*time.Second),
 		int64(20*time.Minute), int64(90*time.Second), 8, 2, int64(2*time.Hour), int64(1))
 	f.Add(int64(0), int64(0), int64(0), int64(0), int64(0), 0, 0, int64(time.Hour), int64(7))
@@ -42,7 +43,7 @@ func FuzzBuildN(f *testing.F) {
 			ISLOutageMTBF:     clamp(omtbf),
 			ISLOutageDuration: clamp(odur),
 		}
-		sched, err := BuildN(s, nodes, edges, time.Duration(horizon), seed)
+		sched, err := BuildModulated(s, nodes, edges, time.Duration(horizon), seed, nil)
 		if (s.Validate() != nil || horizon <= 0) != (err != nil) {
 			t.Fatalf("validity mismatch: scenario err %v, horizon %v, build err %v", s.Validate(), horizon, err)
 		}

@@ -136,7 +136,7 @@ func TestBuildSeedsOnlyDrawingStreams(t *testing.T) {
 		{"deaths", Scenario{NodeMTTF: time.Hour}, 1},
 	} {
 		got := testing.AllocsPerRun(50, func() {
-			if _, err := BuildN(tc.s, 64, 4, time.Hour, 5); err != nil {
+			if _, err := BuildModulated(tc.s, 64, 4, time.Hour, 5, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

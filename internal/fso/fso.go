@@ -145,15 +145,3 @@ func Size(l Link, rate units.DataRate) (Design, error) {
 		HardwareCost: units.Dollars(float64(l.PeakCost) * s),
 	}, nil
 }
-
-// WithEfficiencyImprovement returns a copy of the link whose power at
-// every rate is divided by factor — modeling "ongoing improvements in FSO
-// power efficiency" (paper §III, [42], [70]).
-func (l Link) WithEfficiencyImprovement(factor float64) Link {
-	if factor <= 0 {
-		return l
-	}
-	out := l
-	out.PeakPower = units.Power(float64(l.PeakPower) / factor)
-	return out
-}

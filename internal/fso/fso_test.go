@@ -125,26 +125,6 @@ func TestGEORelayIsHeavierAndHungrier(t *testing.T) {
 	}
 }
 
-func TestEfficiencyImprovement(t *testing.T) {
-	improved := CondorClass.WithEfficiencyImprovement(4)
-	if float64(improved.PeakPower)*4 != float64(CondorClass.PeakPower) {
-		t.Error("peak power must divide by the factor")
-	}
-	// factor ≤ 0 is a no-op.
-	if same := CondorClass.WithEfficiencyImprovement(0); same != CondorClass {
-		t.Error("non-positive factor must be a no-op")
-	}
-	d0, _ := Size(CondorClass, units.GbpsOf(25))
-	d1, _ := Size(improved, units.GbpsOf(25))
-	if !units.ApproxEqual(float64(d1.Power)*4, float64(d0.Power), 1e-9) {
-		t.Error("improved link must draw 1/4 the power at every rate")
-	}
-	// Mass and cost are unchanged: the improvement is in photonics power.
-	if d1.Mass != d0.Mass || d1.HardwareCost != d0.HardwareCost {
-		t.Error("efficiency improvement must not change mass or cost")
-	}
-}
-
 func TestSizeMonotoneInRate(t *testing.T) {
 	f := func(raw uint16) bool {
 		r := units.DataRate(1e9 + float64(raw)*1e8)

@@ -8,9 +8,7 @@
 package hardware
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"sudc/internal/units"
 )
@@ -127,17 +125,9 @@ func (d Device) peak(tensorOps bool) float64 {
 	return t * 1e12
 }
 
-// SurvivesLEO reports whether the device's TID tolerance exceeds the
-// accumulated dose with the given margin factor.
-func (d Device) SurvivesLEO(dose units.Dose, margin float64) bool {
-	return float64(d.TIDToleranceKrad) >= float64(dose)*margin
-}
-
 // Server models a packaged, integrated compute server built from devices.
 type Server struct {
 	Device Device
-	// Count is the number of devices per server node.
-	Count int
 	// SpecificPower is the packaged W/kg (≥35 for GPU servers, paper §III).
 	SpecificPower units.SpecificPower
 	// IntegrationCostFactor multiplies device cost for PCB, chassis, NICs,
@@ -148,65 +138,5 @@ type Server struct {
 // DefaultServer packages the device as the paper assumes: 35 W/kg and a
 // 1.6× integration markup over bare device price.
 func DefaultServer(d Device) Server {
-	return Server{Device: d, Count: 1, SpecificPower: 35, IntegrationCostFactor: 1.6}
-}
-
-// Fleet sizes a fleet of servers to fill a compute power budget.
-type Fleet struct {
-	Server Server
-	// Nodes is the number of server nodes installed.
-	Nodes int
-	// Power is the fleet's aggregate TDP draw.
-	Power units.Power
-	// Mass is the packaged fleet mass.
-	Mass units.Mass
-	// HardwareCost is the fleet recurring cost.
-	HardwareCost units.Dollars
-	// PeakFLOPs is aggregate FP32 throughput in FLOP/s.
-	PeakFLOPs float64
-}
-
-// FleetFor fills the power budget with as many whole servers as fit
-// (at least one).
-func FleetFor(s Server, budget units.Power) (Fleet, error) {
-	if s.Count <= 0 {
-		return Fleet{}, errors.New("hardware: server needs at least one device")
-	}
-	if s.Device.TDP <= 0 {
-		return Fleet{}, fmt.Errorf("hardware: device %q has no TDP", s.Device.Name)
-	}
-	if budget <= 0 {
-		return Fleet{}, errors.New("hardware: non-positive power budget")
-	}
-	perNode := float64(s.Device.TDP) * float64(s.Count)
-	n := int(float64(budget) / perNode)
-	if n < 1 {
-		n = 1
-	}
-	power := units.Power(float64(n) * perNode)
-	cost := float64(s.Device.Price) * float64(s.Count) * float64(n) * s.IntegrationCostFactor
-	return Fleet{
-		Server:       s,
-		Nodes:        n,
-		Power:        power,
-		Mass:         s.SpecificPower.MassFor(power),
-		HardwareCost: units.Dollars(cost),
-		PeakFLOPs:    s.Device.peak(false) * float64(s.Count) * float64(n),
-	}, nil
-}
-
-// RankByEfficiency returns the catalog devices with published TDP sorted by
-// descending FLOPs/W (tensor ops where available) — the ordering that,
-// per the paper's Figure 9 analysis, determines performance per TCO dollar.
-func RankByEfficiency() []Device {
-	var out []Device
-	for _, d := range Catalog() {
-		if d.TDP > 0 {
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].FLOPsPerWatt(true) > out[j].FLOPsPerWatt(true)
-	})
-	return out
+	return Server{Device: d, SpecificPower: 35, IntegrationCostFactor: 1.6}
 }

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 
 	"sudc/internal/par"
-	"sudc/internal/reliability"
 	"sudc/internal/units"
 	"sudc/internal/wright"
 )
@@ -232,45 +231,8 @@ func (p Policy) Simulate(trials int, seed int64) (SimResult, error) {
 	return p.aggregate(parts), nil
 }
 
-// SimulateRand runs the trials serially against an injected RNG — the
-// convenience path for callers composing their own stream discipline.
-func (p Policy) SimulateRand(trials int, rng *rand.Rand) (SimResult, error) {
-	if err := p.Validate(); err != nil {
-		return SimResult{}, err
-	}
-	if trials < 1 {
-		return SimResult{}, errors.New("lifecycle: trials must be ≥ 1")
-	}
-	if rng == nil {
-		return SimResult{}, errors.New("lifecycle: nil rng")
-	}
-	parts := make([]trialResult, trials)
-	for tr := range parts {
-		b, a, o := p.simulateTrial(rng)
-		parts[tr] = trialResult{units: float64(b), avail: a, op: o}
-	}
-	return p.aggregate(parts), nil
-}
-
 // String summarizes the policy.
 func (p Policy) String() string {
 	return fmt.Sprintf("maintain %d+%d SµDCs for %v (%v design life)",
 		p.Target, p.Spares, p.Horizon, p.DesignLifetime)
-}
-
-// AvailabilityWithoutSpares returns the instantaneous probability that a
-// fleet of exactly Target satellites (no spares, no replacement) still
-// has all Target operational at time t — the analytic anchor the
-// simulation is checked against (exact binomial, package reliability).
-func (p Policy) AvailabilityWithoutSpares(tYears float64) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	if p.EarlyFailureMTTF == 0 {
-		if tYears < float64(p.DesignLifetime) {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	return reliability.Availability(p.Target, p.Target, tYears/float64(p.EarlyFailureMTTF))
 }

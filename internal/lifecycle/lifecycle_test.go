@@ -2,7 +2,6 @@ package lifecycle
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -153,27 +152,6 @@ func TestSimulateDeterministic(t *testing.T) {
 	}
 }
 
-func TestAvailabilityWithoutSpares(t *testing.T) {
-	p := DefaultPolicy()
-	// Analytic: 4 of 4 alive at t=5 with 25-yr MTTF: e^{-4·5/25} ≈ 0.449.
-	got, err := p.AvailabilityWithoutSpares(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Exp(-4.0 * 5 / 25)
-	if !units.ApproxEqual(got, want, 1e-9) {
-		t.Errorf("availability = %v, want %v", got, want)
-	}
-	// Deterministic retirement with no random failures.
-	p.EarlyFailureMTTF = 0
-	if v, _ := p.AvailabilityWithoutSpares(3); v != 1 {
-		t.Error("before retirement, availability is 1")
-	}
-	if v, _ := p.AvailabilityWithoutSpares(6); v != 0 {
-		t.Error("after retirement, availability is 0")
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	s := DefaultPolicy().String()
 	if !strings.Contains(s, "4+1") || !strings.Contains(s, "15 yr") {
@@ -197,43 +175,6 @@ func TestSimulateInvariantUnderWorkerCount(t *testing.T) {
 		if r != ref {
 			t.Errorf("workers=%d: %+v differs from %+v", w, r, ref)
 		}
-	}
-}
-
-func TestSimulateRand(t *testing.T) {
-	p := DefaultPolicy()
-	a, err := p.SimulateRand(5, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.SimulateRand(5, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("SimulateRand with identical streams must be deterministic")
-	}
-	if _, err := p.SimulateRand(5, nil); err == nil {
-		t.Error("nil rng must error")
-	}
-	if _, err := p.SimulateRand(0, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("zero trials must error")
-	}
-}
-
-func TestSimulateRandErrors(t *testing.T) {
-	p := DefaultPolicy()
-	rng := rand.New(rand.NewSource(1))
-	if _, err := p.SimulateRand(0, rng); err == nil {
-		t.Error("zero trials must error")
-	}
-	if _, err := p.SimulateRand(10, nil); err == nil {
-		t.Error("nil rng must error")
-	}
-	bad := p
-	bad.Horizon = 0
-	if _, err := bad.SimulateRand(10, rng); err == nil {
-		t.Error("invalid policy must error")
 	}
 }
 

@@ -210,7 +210,7 @@ func TestClustersPerEdgeObservability(t *testing.T) {
 	// Dense clusters give every satellite its own FSO link: the
 	// per-edge queue-depth series must appear one per edge under each
 	// cell's scope.
-	g, err := topo.Clusters(2, 4, 4, units.GbpsOf(10), 10*time.Microsecond)
+	g, err := topo.ClustersRing(2, 4, 4, 1, units.GbpsOf(10), 10*time.Microsecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,6 +99,10 @@ func TestWindowStreamReconcilesWithStats(t *testing.T) {
 	// to the end-of-run stats exactly, and the trace and obs sinks must
 	// count the same lifecycle points. Every count must be nonzero, or
 	// the check is vacuous.
+	histCount := map[string]int64{}
+	for _, hv := range reg.Snapshot().Histograms {
+		histCount[hv.Name] = hv.Count
+	}
 	for _, tc := range []struct {
 		name      string
 		got, want int64
@@ -115,8 +119,8 @@ func TestWindowStreamReconcilesWithStats(t *testing.T) {
 		{"window latency samples", total.LatCount, int64(s.FramesProcessed)},
 		{"trace per-frame compute_end", int64(computeEnds), int64(s.FramesProcessed)},
 		{"trace enqueued with a cause", int64(stranded), int64(s.FramesRedispatched)},
-		{"obs latency_s count", reg.Histogram("latency_s").Count(), int64(s.FramesProcessed)},
-		{"obs retry/backoff_s count", reg.Histogram("retry/backoff_s").Count(), int64(s.FramesRetried)},
+		{"obs latency_s count", histCount["latency_s"], int64(s.FramesProcessed)},
+		{"obs retry/backoff_s count", histCount["retry/backoff_s"], int64(s.FramesRetried)},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s = %d, want %d", tc.name, tc.got, tc.want)

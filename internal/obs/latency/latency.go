@@ -109,12 +109,6 @@ type sefiWindow struct {
 	start, end float64
 }
 
-// Decompose reconstructs per-frame lineages from one scope's events
-// (in record order). Frames are returned in ascending ID order.
-func Decompose(events []trace.Event) []Frame {
-	return decompose("", events)
-}
-
 // DecomposeAll reconstructs lineages across the recorder's root scope
 // and every child scope, ordered by (scope, frame ID).
 func DecomposeAll(rec *trace.Recorder) []Frame {

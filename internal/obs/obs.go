@@ -212,61 +212,13 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Min and Max return the observed extrema (0 before any observation).
-func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max is the largest observed value (0 before any observation).
-func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Quantile estimates the q-th quantile by linear interpolation within
-// the bucket holding the target rank, with bucket edges clamped to the
-// observed [min, max] so the overflow bucket (and a sparse first
-// bucket) interpolate over real mass rather than to ±Inf. It returns
-// NaN for q outside [0, 1] and 0 for an empty histogram. The estimate
-// is deterministic: a pure function of the bucket counts and extrema.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	if math.IsNaN(q) || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-// quantileLocked is Quantile for callers already holding h.mu.
+// quantileLocked estimates the q-th quantile, q in [0, 1], by linear
+// interpolation within the bucket holding the target rank, with bucket
+// edges clamped to the observed [min, max] so the overflow bucket (and
+// a sparse first bucket) interpolate over real mass rather than to
+// ±Inf. It returns 0 for an empty histogram. The estimate is
+// deterministic: a pure function of the bucket counts and extrema. The
+// caller holds h.mu.
 func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0
@@ -317,16 +269,6 @@ func (s *Series) Sample(t, v float64) {
 	s.mu.Lock()
 	s.pts = append(s.pts, Point{T: t, V: v})
 	s.mu.Unlock()
-}
-
-// Points returns a copy of the sampled points in append order.
-func (s *Series) Points() []Point {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Point(nil), s.pts...)
 }
 
 // global is the process-wide registry used by layers with no natural

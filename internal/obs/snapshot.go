@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -54,7 +53,7 @@ type BucketValue struct {
 // HistogramValue is one histogram's snapshot. Overflow counts
 // observations above the last finite bound (the +Inf bucket, kept out
 // of Buckets so the JSON encoding stays finite). P50/P95/P99 are
-// bucket-interpolated quantile estimates (Histogram.Quantile).
+// quantile estimates interpolated within the buckets.
 type HistogramValue struct {
 	Name     string        `json:"name"`
 	Count    int64         `json:"count"`
@@ -177,6 +176,3 @@ func (s Snapshot) String() string {
 	}
 	return b.String()
 }
-
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }

@@ -130,14 +130,6 @@ func (a *Agg) CostPerFrame() float64 {
 	return a.CostSum / float64(a.Counts[CntProcessed])
 }
 
-// MeanLatency is the mean end-to-end latency of the window's frames.
-func (a *Agg) MeanLatency() float64 {
-	if a.LatCount == 0 {
-		return 0
-	}
-	return a.LatSum / float64(a.LatCount)
-}
-
 // bucketBounds returns bucket i's span clamped to the observed extrema,
 // mirroring the obs histogram quantile so estimates stay in range.
 func (a *Agg) bucketBounds(i int) (lo, hi float64) {

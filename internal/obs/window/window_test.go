@@ -134,7 +134,7 @@ func TestMergeFoldsCellsAndQuantiles(t *testing.T) {
 func TestAggRatesOnEmptyWindow(t *testing.T) {
 	var a Agg
 	if a.Availability() != 1 || a.LossRate() != 0 || a.CostPerFrame() != 0 ||
-		a.MeanLatency() != 0 || a.LatQuantile(0.5) != 0 || a.FracOver(1) != 0 {
+		a.LatQuantile(0.5) != 0 || a.FracOver(1) != 0 {
 		t.Errorf("empty-window rates not neutral: %+v", a)
 	}
 }

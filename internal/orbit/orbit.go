@@ -54,11 +54,6 @@ func (o Orbit) Period() float64 {
 	return 2 * math.Pi * math.Sqrt(a*a*a/units.EarthMu)
 }
 
-// Velocity returns the circular orbital velocity in m/s.
-func (o Orbit) Velocity() units.Velocity {
-	return units.Velocity(math.Sqrt(units.EarthMu / o.SemiMajorAxis()))
-}
-
 // EclipseFraction returns the worst-case fraction of the orbit spent in
 // Earth's shadow, using the cylindrical-shadow approximation for a circular
 // orbit with the sun in the orbit plane (β = 0): the satellite is eclipsed
@@ -70,12 +65,6 @@ func (o Orbit) EclipseFraction() float64 {
 	halfAngle := math.Asin(units.EarthRadius / a)
 	return halfAngle / math.Pi
 }
-
-// SunFraction returns 1 − EclipseFraction.
-func (o Orbit) SunFraction() float64 { return 1 - o.EclipseFraction() }
-
-// OrbitsPerDay returns the number of revolutions per 24 h.
-func (o Orbit) OrbitsPerDay() float64 { return 86400 / o.Period() }
 
 func (o Orbit) String() string {
 	return fmt.Sprintf("%.0f km × %.1f°", o.AltitudeM/1e3, o.InclinationDeg)
@@ -218,15 +207,4 @@ func GEORadiation(shieldingMils float64) RadiationEnvironment {
 // LifetimeDose returns the accumulated TID over a mission lifetime.
 func (r RadiationEnvironment) LifetimeDose(lifetime units.Years) units.Dose {
 	return units.Dose(float64(r.DosePerYear) * float64(lifetime))
-}
-
-// ImagingRate describes how fast an EO satellite on this orbit produces
-// frames: the paper states "around six images per minute (exact rate
-// depends on orbital velocity, and ground frame size)".
-func (o Orbit) ImagingRate(groundFrameLengthM float64) float64 {
-	if groundFrameLengthM <= 0 {
-		return 0
-	}
-	groundSpeed := float64(o.Velocity()) * units.EarthRadius / o.SemiMajorAxis()
-	return groundSpeed / groundFrameLengthM // frames per second
 }

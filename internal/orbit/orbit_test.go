@@ -16,22 +16,11 @@ func TestPeriod550km(t *testing.T) {
 	}
 }
 
-func TestVelocity550km(t *testing.T) {
-	// Circular velocity at 550 km is ≈ 7.59 km/s.
-	v := float64(DefaultEO.Velocity())
-	if v < 7500 || v > 7700 {
-		t.Errorf("550 km velocity = %.0f m/s, want ≈7590", v)
-	}
-}
-
 func TestEclipseFraction(t *testing.T) {
 	// Canonical LEO worst-case eclipse fraction is ≈ 0.35–0.40.
 	f := DefaultEO.EclipseFraction()
 	if f < 0.33 || f > 0.42 {
 		t.Errorf("eclipse fraction = %.3f, want ≈0.37", f)
-	}
-	if got := DefaultEO.SunFraction() + f; math.Abs(got-1) > 1e-12 {
-		t.Errorf("sun + eclipse fractions = %v, want 1", got)
 	}
 }
 
@@ -40,13 +29,6 @@ func TestEclipseFractionDecreasesWithAltitude(t *testing.T) {
 	if low.EclipseFraction() <= high.EclipseFraction() {
 		t.Errorf("eclipse fraction should shrink with altitude: %.3f vs %.3f",
 			low.EclipseFraction(), high.EclipseFraction())
-	}
-}
-
-func TestOrbitsPerDay(t *testing.T) {
-	n := DefaultEO.OrbitsPerDay()
-	if n < 14.5 || n > 15.5 {
-		t.Errorf("550 km orbits/day = %.2f, want ≈15", n)
 	}
 }
 
@@ -143,15 +125,21 @@ func TestLifetimeDose(t *testing.T) {
 	}
 }
 
+// imagingRate is how fast an EO satellite on orbit o produces frames of
+// the given ground length, in frames per second: its ground-track speed
+// (one Earth circumference per period) over the frame length.
+func imagingRate(o Orbit, groundFrameLengthM float64) float64 {
+	groundSpeed := 2 * math.Pi * units.EarthRadius / o.Period()
+	return groundSpeed / groundFrameLengthM
+}
+
 func TestImagingRateSixPerMinute(t *testing.T) {
 	// The paper: "A LEO Earth observation satellite may produce around six
-	// images per minute". Ground speed ~7 km/s; a ~70 km frame ≈ 6/min.
-	rate := DefaultEO.ImagingRate(70e3) * 60
+	// images per minute (exact rate depends on orbital velocity, and
+	// ground frame size)". Ground speed ~7 km/s; a ~70 km frame ≈ 6/min.
+	rate := imagingRate(DefaultEO, 70e3) * 60
 	if rate < 5 || rate > 7 {
 		t.Errorf("imaging rate = %.2f frames/min, want ≈6", rate)
-	}
-	if DefaultEO.ImagingRate(0) != 0 {
-		t.Error("zero frame size must give zero rate")
 	}
 }
 

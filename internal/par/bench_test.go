@@ -88,7 +88,7 @@ func BenchmarkReseed(b *testing.B) {
 			return func(i int) *rand.Rand { r.Seed(ForkSeed(1, i)); return r }
 		}()},
 		{"stdlib/new", func(i int) *rand.Rand { return rand.New(rand.NewSource(ForkSeed(1, i))) }},
-		{"port/new", func(i int) *rand.Rand { return ForkRand(1, i) }},
+		{"port/new", func(i int) *rand.Rand { return NewRand(ForkSeed(1, i)) }},
 		{"port/pooled", func(i int) *rand.Rand {
 			r := GetRand(ForkSeed(1, i))
 			PutRand(r)

@@ -7,14 +7,14 @@
 //
 // Guarantees:
 //
-//   - Deterministic ordering: Map/MapErr/ForN write result i for item i,
+//   - Deterministic ordering: MapErr and ForN write result i for item i,
 //     so outputs are in input order regardless of completion order.
 //   - Worker-count invariance: results never depend on the worker count;
 //     only wall-clock time does. Seeded randomness stays invariant too
 //     when each work item seeds its own stream with ForkSeed instead of
 //     sharing one across items. The package's generators (NewRand,
-//     ForkRand, GetRand) draw exactly what math/rand's do and seed
-//     faster (see rand.go).
+//     GetRand) draw exactly what math/rand's do and seed faster (see
+//     rand.go).
 //   - Cancellation on error: once any item fails, workers stop picking
 //     up new work. Among the failures actually observed, the error for
 //     the lowest item index is returned.
@@ -52,29 +52,15 @@ import (
 	"time"
 )
 
-// options configures one parallel run.
-type options struct {
-	workers int
-	chunk   int
-}
-
-// Option customizes Map, MapErr, ForN, or ForNErr. It is a plain value
-// (not a closure) so resolving options never forces the configuration
-// to escape to the heap — the engine's dispatch path stays
-// allocation-free for serial runs and pool-bounded for parallel ones.
+// Option customizes MapErr, ForN, or ForNErr. It is a plain value (not
+// a closure) so resolving options never forces the configuration to
+// escape to the heap — the engine's dispatch path stays allocation-free
+// for serial runs and pool-bounded for parallel ones. A run resolves its
+// options into one Option: each field set (> 0) overrides the earlier
+// ones.
 type Option struct {
 	workers int
 	chunk   int
-}
-
-// apply merges one option into the resolved configuration.
-func (opt Option) apply(o *options) {
-	if opt.workers > 0 {
-		o.workers = opt.workers
-	}
-	if opt.chunk > 0 {
-		o.chunk = opt.chunk
-	}
 }
 
 // Workers bounds the number of goroutines working one run: its caller
@@ -251,7 +237,7 @@ func ReleaseHelpers(n int) {
 // runState is one parallel run's dispatch descriptor: the shared claim
 // cursor, failure tracking, and chunk geometry the workers consult. It
 // used to live in locals captured by a per-call worker closure — one
-// closure plus a heap cell per captured variable, every Map/ForN call.
+// closure plus a heap cell per captured variable, every ForN call.
 // Hoisting it into a pooled struct makes the engine's per-call dispatch
 // cost a pool hit: hot paths that issue thousands of small parallel
 // runs (DES replica sweeps, DSE shards) stop paying per-call garbage.
@@ -357,9 +343,14 @@ func ForNErr(n int, fn func(i int) error, opts ...Option) error {
 	if n <= 0 {
 		return nil
 	}
-	var o options
+	var o Option
 	for _, opt := range opts {
-		opt.apply(&o)
+		if opt.workers > 0 {
+			o.workers = opt.workers
+		}
+		if opt.chunk > 0 {
+			o.chunk = opt.chunk
+		}
 	}
 	def := DefaultWorkers()
 	workers := o.workers
@@ -426,14 +417,6 @@ func ForNErr(n int, fn func(i int) error, opts ...Option) error {
 // completion.
 func ForN(n int, fn func(i int), opts ...Option) {
 	ForNErr(n, func(i int) error { fn(i); return nil }, opts...)
-}
-
-// Map applies fn to every item in parallel, returning results in input
-// order.
-func Map[T, R any](items []T, fn func(T) R, opts ...Option) []R {
-	out := make([]R, len(items))
-	ForN(len(items), func(i int) { out[i] = fn(items[i]) }, opts...)
-	return out
 }
 
 // MapErr applies fn to every item in parallel. On success it returns the

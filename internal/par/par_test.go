@@ -8,13 +8,16 @@ import (
 	"time"
 )
 
-func TestMapPreservesOrder(t *testing.T) {
+func TestMapErrPreservesOrder(t *testing.T) {
 	items := make([]int, 1000)
 	for i := range items {
 		items[i] = i
 	}
 	for _, w := range []int{1, 2, 3, 8, 64} {
-		got := Map(items, func(v int) int { return v * v }, Workers(w))
+		got, err := MapErr(items, func(v int) (int, error) { return v * v, nil }, Workers(w))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", w, i, v, i*i)
@@ -23,12 +26,12 @@ func TestMapPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestMapEmptyAndSingle(t *testing.T) {
-	if got := Map(nil, func(v int) int { return v }); len(got) != 0 {
-		t.Errorf("empty input produced %d results", len(got))
+func TestMapErrEmptyAndSingle(t *testing.T) {
+	if got, err := MapErr(nil, func(v int) (int, error) { return v, nil }); err != nil || len(got) != 0 {
+		t.Errorf("empty input produced %d results, err %v", len(got), err)
 	}
-	if got := Map([]int{7}, func(v int) int { return v + 1 }); len(got) != 1 || got[0] != 8 {
-		t.Errorf("single item: got %v", got)
+	if got, err := MapErr([]int{7}, func(v int) (int, error) { return v + 1, nil }); err != nil || len(got) != 1 || got[0] != 8 {
+		t.Errorf("single item: got %v, err %v", got, err)
 	}
 }
 
@@ -186,7 +189,7 @@ func TestForkSeedIndependence(t *testing.T) {
 		t.Error("ForkSeed not deterministic")
 	}
 	// Forked streams start differently.
-	a, b := ForkRand(1, 0), ForkRand(1, 1)
+	a, b := NewRand(ForkSeed(1, 0)), NewRand(ForkSeed(1, 1))
 	if a.Int63() == b.Int63() {
 		t.Error("sibling streams emit identical first draw")
 	}
@@ -198,7 +201,7 @@ func TestResultsInvariantUnderWorkerCount(t *testing.T) {
 	trial := func(workers int) []float64 {
 		out := make([]float64, 64)
 		ForN(64, func(i int) {
-			rng := ForkRand(99, i)
+			rng := NewRand(ForkSeed(99, i))
 			var s float64
 			for k := 0; k < 100; k++ {
 				s += rng.Float64()

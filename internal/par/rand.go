@@ -163,13 +163,6 @@ func ForkSeed(root int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// ForkRand returns a fresh generator seeded with ForkSeed(root, i).
-// Per-item loops should take GetRand(ForkSeed(root, i)) instead, which
-// draws the same stream without allocating a source per item.
-func ForkRand(root int64, i int) *rand.Rand {
-	return NewRand(ForkSeed(root, i))
-}
-
 // NewRand returns a fresh generator seeded with seed. It draws exactly
 // what rand.New(rand.NewSource(seed)) draws.
 func NewRand(seed int64) *rand.Rand {

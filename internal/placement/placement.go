@@ -62,11 +62,6 @@ func (t Tier) String() string {
 // Valid reports whether t names one of the four tiers.
 func (t Tier) Valid() bool { return t >= 0 && t < NumTiers }
 
-// Tiers returns the four tiers in order.
-func Tiers() []Tier {
-	return []Tier{TierOnboard, TierSpace, TierGroundEdge, TierCloud}
-}
-
 // TierCost prices one tier for one frame.
 type TierCost struct {
 	// DollarsPerFrame is the amortized cost of processing one frame at
@@ -175,7 +170,7 @@ func KindByName(name string) (Kind, error) {
 }
 
 // PolicyByName parses a CLI policy name: "greedy", "queue", "oracle",
-// or "static-<tier>" with the tier names of Tiers() ("static-edge" is
+// or "static-<tier>" with the name of any tier ("static-edge" is
 // accepted for "static-ground-edge").
 func PolicyByName(name string) (Policy, error) {
 	if rest, ok := strings.CutPrefix(name, "static-"); ok {

@@ -4,8 +4,8 @@
 //   - Near-zero-cost overprovisioning (Figs. 24, 25): compute-node
 //     lifetimes are i.i.d. Exp(λ) with MTTF T = 1/λ; Zₙ(t) indicates at
 //     least 10 of n nodes alive; Z′ₙ(t) is the powered-node count capped at
-//     10. Both are evaluated exactly via the binomial distribution, plus a
-//     Monte-Carlo cross-check.
+//     10. Both are evaluated exactly via the binomial distribution; the
+//     tests cross-check them with a Monte-Carlo estimate.
 //   - Hardware/software redundancy schemes (Fig. 28): TMR, DMR, and
 //     software-based hardening with their power overheads.
 //   - The total-ionizing-dose-vs-technology-node dataset (Fig. 26).
@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"sudc/internal/par"
 )
 
 // SurvivalProb returns the probability a single Exp(1/T) node is still
@@ -199,83 +197,6 @@ func TimeToAvailability(n, need int, target float64) (float64, error) {
 	return (lo + hi) / 2, nil
 }
 
-// mcShardTrials fixes how many Monte-Carlo trials share one forked RNG
-// stream. The trial→stream mapping depends only on this constant and the
-// root seed — never on the worker count — so parallel results are
-// reproducible on any machine.
-const mcShardTrials = 8192
-
-// simulateTrials runs the Monte-Carlo inner loop against a caller-owned
-// RNG, returning the raw counters.
-func simulateTrials(rng *rand.Rand, n, need int, tOverT float64, trials int) (okCount int, sum float64) {
-	for i := 0; i < trials; i++ {
-		alive := 0
-		for j := 0; j < n; j++ {
-			// Exp(1) lifetime ≥ t ⟺ uniform draw < e^{-t}.
-			if rng.ExpFloat64() >= tOverT {
-				alive++
-			}
-		}
-		if alive >= need {
-			okCount++
-		}
-		if alive > need {
-			alive = need
-		}
-		sum += float64(alive)
-	}
-	return okCount, sum
-}
-
-// SimulateRand runs a serial Monte-Carlo estimate of (availability,
-// expected working capped at `need`) at time t, drawing all trials from
-// the injected RNG. Callers that need parallel throughput should use
-// Simulate, which shards trials over forked streams.
-func SimulateRand(rng *rand.Rand, n, need int, tOverT float64, trials int) (avail, expWorking float64, err error) {
-	if n < 1 || need < 1 || trials < 1 {
-		return 0, 0, errors.New("reliability: n, need and trials must be ≥ 1")
-	}
-	if rng == nil {
-		return 0, 0, errors.New("reliability: nil rng")
-	}
-	okCount, sum := simulateTrials(rng, n, need, tOverT, trials)
-	return float64(okCount) / float64(trials), sum / float64(trials), nil
-}
-
-// Simulate runs a Monte-Carlo estimate of (availability, expected working
-// capped at `need`) at time t, with trials independent draws, using the
-// given seed. Trials are sharded over per-shard RNG streams forked from
-// the seed and evaluated in parallel; the result is identical for any
-// worker count. It cross-validates the exact formulas.
-func Simulate(n, need int, tOverT float64, trials int, seed int64) (avail, expWorking float64, err error) {
-	if n < 1 || need < 1 || trials < 1 {
-		return 0, 0, errors.New("reliability: n, need and trials must be ≥ 1")
-	}
-	type partial struct {
-		ok  int
-		sum float64
-	}
-	nShards := (trials + mcShardTrials - 1) / mcShardTrials
-	parts := make([]partial, nShards)
-	par.ForN(nShards, func(s int) {
-		t := mcShardTrials
-		if s == nShards-1 {
-			t = trials - s*mcShardTrials
-		}
-		rng := par.GetRand(par.ForkSeed(seed, s))
-		ok, sum := simulateTrials(rng, n, need, tOverT, t)
-		par.PutRand(rng)
-		parts[s] = partial{ok: ok, sum: sum}
-	})
-	okCount := 0
-	var sum float64
-	for _, p := range parts {
-		okCount += p.ok
-		sum += p.sum
-	}
-	return float64(okCount) / float64(trials), sum / float64(trials), nil
-}
-
 // Scheme is a redundancy strategy with its power overhead (Fig. 28).
 type Scheme struct {
 	Name string
@@ -293,8 +214,6 @@ var (
 	// SoftwareHardening is ANN-aware software redundancy (20% overhead,
 	// which the paper calls conservative).
 	SoftwareHardening = Scheme{Name: "software", PowerOverhead: 1.2}
-	// NoRedundancy is the unprotected baseline.
-	NoRedundancy = Scheme{Name: "none", PowerOverhead: 1}
 )
 
 // Schemes returns the redundancy options in the paper's Figure 28 order.

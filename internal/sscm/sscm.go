@@ -199,9 +199,6 @@ func (b Breakdown) Total() Cost {
 // TCO returns the first-unit total cost of ownership: all NRE + all RE.
 func (b Breakdown) TCO() units.Dollars { return b.Total().FirstUnit() }
 
-// RE returns the recurring total (the marginal satellite before learning).
-func (b Breakdown) RE() units.Dollars { return b.Total().RE }
-
 // Share returns subsystem s's fraction of first-unit TCO.
 func (b Breakdown) Share(s Subsystem) float64 {
 	t := float64(b.TCO())
@@ -464,27 +461,4 @@ func (b Breakdown) MarshalJSON() ([]byte, error) {
 	out.RE = float64(tot.RE)
 	out.TCO = float64(b.TCO())
 	return json.Marshal(out)
-}
-
-// UnmarshalJSON restores a breakdown serialized by MarshalJSON. Unknown
-// subsystem names are rejected.
-func (b *Breakdown) UnmarshalJSON(data []byte) error {
-	var in jsonBreakdown
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	byName := map[string]Subsystem{}
-	for _, s := range Subsystems() {
-		byName[s.String()] = s
-	}
-	items := make(map[Subsystem]Cost, len(in.Items))
-	for _, it := range in.Items {
-		s, ok := byName[it.Subsystem]
-		if !ok {
-			return fmt.Errorf("sscm: unknown subsystem %q", it.Subsystem)
-		}
-		items[s] = Cost{NRE: units.Dollars(it.NRE), RE: units.Dollars(it.RE)}
-	}
-	b.Items = items
-	return nil
 }

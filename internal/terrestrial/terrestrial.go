@@ -23,7 +23,6 @@ const (
 	PowerDistribution
 	Infrastructure
 	Other
-	numCategories
 )
 
 var categoryNames = [...]string{
@@ -36,15 +35,6 @@ func (c Category) String() string {
 		return fmt.Sprintf("Category(%d)", int(c))
 	}
 	return categoryNames[c]
-}
-
-// Categories returns all categories in reporting order.
-func Categories() []Category {
-	out := make([]Category, numCategories)
-	for i := range out {
-		out[i] = Category(i)
-	}
-	return out
 }
 
 // Model is a normalized terrestrial TCO breakdown (shares sum to 1).

@@ -73,36 +73,6 @@ func (r Radiator) AreaFor(q units.Power) (units.Area, error) {
 	return units.Area(float64(q) / r.FluxPerArea()), nil
 }
 
-// Emitted returns the heat rejected by a panel of the given area
-// (Equation 1 of the paper, net of the sink background).
-func (r Radiator) Emitted(a units.Area) units.Power {
-	return units.Power(r.FluxPerArea() * float64(a))
-}
-
-// EquilibriumTemp returns the panel temperature at which a radiator of
-// the given area rejects exactly q — the inverse of Emitted:
-// T = (T_sink⁴ + q/(εσA·faces))^¼. It is the steady-state operating
-// temperature of a fixed panel under a varying heat load, the quantity
-// the degradation engine's throttle curve keys on.
-func EquilibriumTemp(r Radiator, q units.Power, a units.Area) (units.Temperature, error) {
-	if r.Emissivity <= 0 || r.Emissivity > 1 {
-		return 0, fmt.Errorf("thermal: emissivity %v out of (0,1]", r.Emissivity)
-	}
-	if a <= 0 {
-		return 0, errors.New("thermal: panel area must be positive")
-	}
-	if q < 0 {
-		return 0, errors.New("thermal: negative heat load")
-	}
-	faces := 1.0
-	if r.TwoSided {
-		faces = 2
-	}
-	s4 := math.Pow(float64(r.SinkTemperature), 4)
-	t4 := s4 + float64(q)/(r.Emissivity*units.StefanBoltzmann*float64(a)*faces)
-	return units.Temperature(math.Pow(t4, 0.25)), nil
-}
-
 // HeatPump is the active thermal control element. It moves heat from the
 // electronics loop at Cold to the radiator at Hot; its electrical draw is
 // heat/CoP with CoP a fraction of the Carnot limit.
@@ -189,23 +159,6 @@ func Size(q units.Power, r Radiator, h HeatPump) (Design, error) {
 		PanelMass:     r.ArealDensity.MassFor(area),
 		PumpMass:      units.Mass(h.SpecificMass * q.Kilowatts()),
 	}, nil
-}
-
-// AreaTemperatureCurve returns, for a fixed heat rejection target, the
-// required radiator area at each temperature in ts — the data behind the
-// paper's Figure 12 trade-off.
-func AreaTemperatureCurve(q units.Power, base Radiator, ts []units.Temperature) ([]units.Area, error) {
-	out := make([]units.Area, len(ts))
-	for i, t := range ts {
-		r := base
-		r.Temperature = t
-		a, err := r.AreaFor(q)
-		if err != nil {
-			return nil, fmt.Errorf("at %v: %w", t, err)
-		}
-		out[i] = a
-	}
-	return out, nil
 }
 
 // SizePassive designs a passive thermal subsystem: no heat pump, so the

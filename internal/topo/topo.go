@@ -423,53 +423,20 @@ func Walker(planes, satsPerPlane, workersPerSuDC, sudcEvery int, interPlaneDelay
 	return g, nil
 }
 
-// Clusters builds dense formation-flying clusters (Pénot & Balakrishnan):
-// clusters independent cells, each of satsPerCluster single-satellite
-// Source nodes with their own short FSO link (fsoRate, fsoDelay) into
-// the cluster's hub SµDC of workersPerHub workers. Unlike Star's one
-// aggregate link, every satellite here owns a link — per-edge queueing
-// and per-edge outages become visible.
-func Clusters(clusters, satsPerCluster, workersPerHub int, fsoRate units.DataRate, fsoDelay time.Duration) (*Graph, error) {
-	switch {
-	case clusters < 1:
-		return nil, errors.New("topo: need ≥ 1 cluster")
-	case satsPerCluster < 1:
-		return nil, errors.New("topo: need ≥ 1 satellite per cluster")
-	case workersPerHub < 1:
-		return nil, errors.New("topo: need ≥ 1 worker per hub")
-	case fsoRate < 0:
-		return nil, errors.New("topo: negative FSO rate")
-	case fsoDelay < 0:
-		return nil, errors.New("topo: negative FSO delay")
-	}
-	g := &Graph{}
-	for c := 0; c < clusters; c++ {
-		hub := len(g.Nodes)
-		g.Nodes = append(g.Nodes, Node{
-			Name: fmt.Sprintf("c%02d/hub", c), Kind: SuDC, Cell: c, Workers: workersPerHub,
-		})
-		for i := 0; i < satsPerCluster; i++ {
-			sat := len(g.Nodes)
-			g.Nodes = append(g.Nodes, Node{
-				Name: fmt.Sprintf("c%02d/sat%02d", c, i), Kind: Source, Cell: c, Sats: 1,
-			})
-			g.Edges = append(g.Edges, Edge{From: sat, To: hub, Kind: ISL, Rate: fsoRate, Delay: fsoDelay})
-		}
-	}
-	return g, nil
-}
-
-// ClustersRing joins dense formation-flying clusters into an
-// inter-cluster relay ring, the shape where per-cell lookahead
-// diverges most from a single global window: intra-cluster FSO hops
-// are short (fsoDelay) while the inter-cluster ring hops are long
-// (ringDelay). Every sudcEvery-th cluster's hub is an SµDC of
-// workersPerHub workers; the other clusters get a relay hub (a
-// single-satellite Source) whose cluster forwards around the ring to
-// the nearest compute cluster. Ring edges are emitted only in the
-// directions that can carry traffic — out of relay hubs — so compute
-// clusters have no outgoing cross-cell edges and their cells
-// synchronize only against their upstream relays.
+// ClustersRing joins dense formation-flying clusters (Pénot &
+// Balakrishnan) into an inter-cluster relay ring, the shape where
+// per-cell lookahead diverges most from a single global window:
+// intra-cluster FSO hops are short (fsoDelay) while the inter-cluster
+// ring hops are long (ringDelay). Each cluster is one cell whose
+// single-satellite Source nodes own their own FSO link into the hub, so
+// per-edge queueing and per-edge outages are visible. Every
+// sudcEvery-th cluster's hub is an SµDC of workersPerHub workers; the
+// other clusters get a relay hub (a single-satellite Source) whose
+// cluster forwards around the ring to the nearest compute cluster. Ring
+// edges are emitted only in the directions that can carry traffic — out
+// of relay hubs — so compute clusters have no outgoing cross-cell edges
+// and their cells synchronize only against their upstream relays. With
+// sudcEvery = 1 every hub computes and the clusters are independent.
 func ClustersRing(clusters, satsPerCluster, workersPerHub, sudcEvery int, fsoRate units.DataRate, fsoDelay, ringDelay time.Duration) (*Graph, error) {
 	switch {
 	case clusters < 1:
@@ -526,29 +493,4 @@ func ClustersRing(clusters, satsPerCluster, workersPerHub, sudcEvery int, fsoRat
 		}
 	}
 	return g, nil
-}
-
-// AddDownlink appends a downlink edge from the named SµDC to a new
-// ground-station node (created in the SµDC's cell on first use).
-func (g *Graph) AddDownlink(sudcName, groundName string, rate units.DataRate, delay time.Duration) error {
-	from, ground := -1, -1
-	for i, nd := range g.Nodes {
-		if nd.Name == sudcName && nd.Kind == SuDC {
-			from = i
-		}
-		if nd.Name == groundName {
-			ground = i
-		}
-	}
-	if from < 0 {
-		return fmt.Errorf("topo: no SµDC named %q", sudcName)
-	}
-	if ground < 0 {
-		ground = len(g.Nodes)
-		g.Nodes = append(g.Nodes, Node{Name: groundName, Kind: Ground, Cell: g.Nodes[from].Cell})
-	} else if g.Nodes[ground].Kind != Ground {
-		return fmt.Errorf("topo: node %q is not a ground station", groundName)
-	}
-	g.Edges = append(g.Edges, Edge{From: from, To: ground, Kind: Downlink, Rate: rate, Delay: delay})
-	return nil
 }

@@ -125,7 +125,9 @@ func TestWalkerRejectsBadArgs(t *testing.T) {
 }
 
 func TestClustersShape(t *testing.T) {
-	g, err := Clusters(3, 8, 4, units.GbpsOf(10), 10*time.Microsecond)
+	// sudcEvery = 1 gives every cluster a compute hub: independent
+	// clusters with no ring.
+	g, err := ClustersRing(3, 8, 4, 1, units.GbpsOf(10), 10*time.Microsecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,22 +226,12 @@ func TestRoutesPreferNearestSuDC(t *testing.T) {
 	}
 }
 
-func TestAddDownlink(t *testing.T) {
+func TestISLIntoGroundRejected(t *testing.T) {
 	g := Star(4, 2)
-	if err := g.AddDownlink("sudc", "gs-svalbard", units.GbpsOf(2), 3*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	g.Nodes = append(g.Nodes, Node{Name: "gs-svalbard", Kind: Ground})
+	g.Edges = append(g.Edges, Edge{From: 1, To: 2, Kind: Downlink, Rate: units.GbpsOf(2), Delay: 3 * time.Millisecond})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if len(g.Nodes) != 3 || g.Nodes[2].Kind != Ground {
-		t.Fatalf("ground node not created: %+v", g.Nodes)
-	}
-	if err := g.AddDownlink("nope", "gs", 0, 0); err == nil {
-		t.Error("unknown SµDC accepted")
-	}
-	if err := g.AddDownlink("sudc", "sats", 0, 0); err == nil {
-		t.Error("non-ground target accepted")
 	}
 	// ISL edges must not terminate at the ground station.
 	g.Edges = append(g.Edges, Edge{From: 0, To: 2, Kind: ISL})

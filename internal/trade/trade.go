@@ -43,14 +43,6 @@ var (
 			Apply:  func(c *core.Config, v float64) { c.Lifetime = units.Years(v) },
 		}
 	}
-	// ISLGbps sweeps the installed crosslink capacity.
-	ISLGbps = func(values ...float64) Dimension {
-		return Dimension{
-			Name:   "isl Gbit/s",
-			Values: values,
-			Apply:  func(c *core.Config, v float64) { c.ISLRate = units.GbpsOf(v) },
-		}
-	}
 	// AltitudeKM sweeps the orbit altitude.
 	AltitudeKM = func(values ...float64) Dimension {
 		return Dimension{
@@ -96,8 +88,6 @@ type Objective struct {
 var (
 	// MinTCO minimizes first-unit total cost of ownership.
 	MinTCO = Objective{Name: "TCO", Value: func(p Point) float64 { return float64(p.TCO) }}
-	// MinWetMass minimizes launch mass.
-	MinWetMass = Objective{Name: "wet mass", Value: func(p Point) float64 { return float64(p.WetMass) }}
 	// MaxComputePower maximizes the compute budget (negated for the
 	// minimizing front).
 	MaxComputePower = Objective{Name: "-compute", Value: func(p Point) float64 { return -p.Coords["compute kW"] }}

@@ -11,6 +11,15 @@ import (
 
 func base() core.Config { return core.DefaultConfig(units.KW(4)) }
 
+// islGbps sweeps the installed crosslink capacity.
+func islGbps(values ...float64) Dimension {
+	return Dimension{
+		Name:   "isl Gbit/s",
+		Values: values,
+		Apply:  func(c *core.Config, v float64) { c.ISLRate = units.GbpsOf(v) },
+	}
+}
+
 func TestDimensionValidate(t *testing.T) {
 	good := ComputePowerKW(1, 2)
 	if err := good.Validate(); err != nil {
@@ -187,7 +196,7 @@ func TestAltitudeDimension(t *testing.T) {
 }
 
 func TestISLDimension(t *testing.T) {
-	pts, err := Sweep(base(), []Dimension{ISLGbps(5, 50, 200)})
+	pts, err := Sweep(base(), []Dimension{islGbps(5, 50, 200)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +211,7 @@ func TestSweepInvariantUnderWorkerCount(t *testing.T) {
 	dims := []Dimension{
 		ComputePowerKW(0.5, 2, 4, 8),
 		LifetimeYears(3, 5, 10),
-		ISLGbps(10, 50),
+		islGbps(10, 50),
 	}
 	ref, err := Sweep(base(), dims)
 	if err != nil {

@@ -105,20 +105,6 @@ func ByName(name string) (App, error) {
 	return App{}, fmt.Errorf("workload: unknown app %q", name)
 }
 
-// Lightest returns the app with the highest kpixel/J — the one that
-// saturates compute with the least ISL-delivered data per joule spent, and
-// therefore needs the highest ISL rate ("the most lightweight application",
-// paper §III).
-func Lightest() App {
-	best := Suite[0]
-	for _, a := range Suite[1:] {
-		if a.KPixelPerJoule > best.KPixelPerJoule {
-			best = a
-		}
-	}
-	return best
-}
-
 // PixelThroughput returns the pixel processing rate (pixels/s) this app
 // sustains on a compute budget of the given power: budget × kpixel/J.
 func (a App) PixelThroughput(budget units.Power) (float64, error) {
@@ -136,14 +122,6 @@ func (a App) SaturationRate(budget units.Power) (units.DataRate, error) {
 		return 0, err
 	}
 	return units.DataRate(px * BitsPerPixel), nil
-}
-
-// EnergyPerFrame returns the GPU energy to process one frame of this app.
-func (a App) EnergyPerFrame() units.Energy {
-	if a.KPixelPerJoule <= 0 {
-		return 0
-	}
-	return units.Energy(a.FrameMPixels * 1e3 / a.KPixelPerJoule)
 }
 
 // FrameBits returns the raw size of one frame on the wire.

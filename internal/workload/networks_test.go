@@ -5,14 +5,28 @@ import (
 	"testing/quick"
 )
 
+// totalWeights sums weights over all of n's layers.
+func totalWeights(n Network) int64 {
+	var t int64
+	for _, l := range n.Layers {
+		t += l.Weights()
+	}
+	return t
+}
+
 func TestAllNetworksValid(t *testing.T) {
 	nets := Networks()
 	if len(nets) != 9 {
 		t.Fatalf("have %d networks, want 9", len(nets))
 	}
 	for name, n := range nets {
-		if err := n.Validate(); err != nil {
-			t.Errorf("%s: %v", name, err)
+		if len(n.Layers) == 0 {
+			t.Errorf("%s has no layers", name)
+		}
+		for _, l := range n.Layers {
+			if err := l.Validate(); err != nil {
+				t.Errorf("%s/%s: %v", name, l.Name, err)
+			}
 		}
 		if n.Name != name {
 			t.Errorf("map key %q != network name %q", name, n.Name)
@@ -46,7 +60,7 @@ func TestVGG16KnownCounts(t *testing.T) {
 	if gmacs < 15 || gmacs > 16 {
 		t.Errorf("VGG-16 = %.2f GMACs, want ≈15.5", gmacs)
 	}
-	mw := float64(n.TotalWeights()) / 1e6
+	mw := float64(totalWeights(n)) / 1e6
 	if mw < 130 || mw > 145 {
 		t.Errorf("VGG-16 = %.1f M weights, want ≈138", mw)
 	}
@@ -59,7 +73,7 @@ func TestResNet50KnownCounts(t *testing.T) {
 	if gmacs < 3.5 || gmacs > 4.8 {
 		t.Errorf("ResNet-50 = %.2f GMACs, want ≈4", gmacs)
 	}
-	mw := float64(n.TotalWeights()) / 1e6
+	mw := float64(totalWeights(n)) / 1e6
 	if mw < 20 || mw > 30 {
 		t.Errorf("ResNet-50 = %.1f M weights, want ≈25", mw)
 	}
@@ -123,10 +137,6 @@ func TestLayerValidate(t *testing.T) {
 	dwBad.K = 4
 	if err := dwBad.Validate(); err == nil {
 		t.Error("depthwise with C != K must error")
-	}
-	empty := Network{Name: "none"}
-	if err := empty.Validate(); err == nil {
-		t.Error("empty network must error")
 	}
 }
 

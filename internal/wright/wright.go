@@ -68,22 +68,6 @@ func (c Curve) CumulativeCost(c1 units.Dollars, n int) (units.Dollars, error) {
 	return units.Dollars(float64(c1) * sum), nil
 }
 
-// MarginalCurve returns unit costs for units 1..n.
-func (c Curve) MarginalCurve(c1 units.Dollars, n int) ([]units.Dollars, error) {
-	if n < 1 {
-		return nil, errors.New("wright: need at least one unit")
-	}
-	out := make([]units.Dollars, n)
-	for i := 1; i <= n; i++ {
-		u, err := c.UnitCost(c1, i)
-		if err != nil {
-			return nil, err
-		}
-		out[i-1] = u
-	}
-	return out, nil
-}
-
 // CostFn gives the NRE and single-unit RE of a satellite design sized to
 // one per-satellite compute power. The distributed-vs-monolithic optimizer
 // calls it once per candidate constellation size.

@@ -93,27 +93,6 @@ func TestCumulativeCost(t *testing.T) {
 	}
 }
 
-func TestMarginalCurve(t *testing.T) {
-	m, err := DefaultAerospace.MarginalCurve(100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 10 {
-		t.Fatalf("len = %d", len(m))
-	}
-	if m[0] != 100 {
-		t.Errorf("first unit = %v, want 100", m[0])
-	}
-	for i := 1; i < len(m); i++ {
-		if m[i] >= m[i-1] {
-			t.Error("marginal cost must fall monotonically")
-		}
-	}
-	if _, err := DefaultAerospace.MarginalCurve(100, 0); err == nil {
-		t.Error("zero units must error")
-	}
-}
-
 // linearNRECost is a toy cost model: NRE = 40·(P/32kW)^0.5 M$,
 // RE = 20·(P/32kW)^0.45 + 3 M$ — sublinear with a fixed per-satellite
 // floor, the structure that creates an interior optimum.
