@@ -2,6 +2,7 @@ package latency_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -265,5 +266,109 @@ func TestDecomposeNilAndEmpty(t *testing.T) {
 	}
 	if got := latency.Decompose(nil); len(got) != 0 {
 		t.Errorf("no events must decompose to no frames, got %d", len(got))
+	}
+}
+
+func TestDecomposeAllNamesNestedScopes(t *testing.T) {
+	// Frames in grandchild scopes must carry the full slash-joined scope
+	// path, and the result must be ordered by (scope, frame ID).
+	rec := trace.New(0)
+	runFrame := func(r *trace.Recorder, id int64, t0 float64) {
+		r.Record(trace.Event{T: t0, Kind: trace.FrameCaptured, Frame: id})
+		r.Record(trace.Event{T: t0 + 1, Kind: trace.Dispatched, Frame: id, Node: 0})
+		r.Record(trace.Event{T: t0 + 3, Kind: trace.ComputeEnd, Frame: id, Node: 0})
+	}
+	runFrame(rec.Child("r000").Child("cell01"), 2, 10)
+	runFrame(rec, 7, 0)
+	runFrame(rec.Child("r000"), 1, 5)
+	runFrame(rec.Child("r000").Child("cell00"), 4, 20)
+
+	type key struct {
+		scope string
+		id    int64
+	}
+	var got []key
+	for _, f := range latency.DecomposeAll(rec) {
+		got = append(got, key{f.Scope, f.ID})
+		if f.Outcome != "processed" || f.Total() != 3 {
+			t.Errorf("%s frame %d: outcome %q, total %v; want processed in 3 s", f.Scope, f.ID, f.Outcome, f.Total())
+		}
+	}
+	want := []key{{"", 7}, {"r000", 1}, {"r000/cell00", 4}, {"r000/cell01", 2}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decomposed (scope, ID) = %v, want %v", got, want)
+	}
+}
+
+func TestDegradedIntervalsPerKind(t *testing.T) {
+	const horizon = 1000
+	for _, tc := range []struct {
+		name   string
+		events []trace.Event
+		want   []latency.Interval
+	}{
+		{
+			name: "outage closed by its end event",
+			events: []trace.Event{
+				{T: 10, Kind: trace.OutageStart, Node: -1, Dur: 100, Cause: "isl-outage#1"},
+				{T: 40, Kind: trace.OutageEnd, Node: -1, Cause: "isl-outage#1"},
+			},
+			want: []latency.Interval{{Start: 10, End: 40, Kind: "isl-outage", Node: -1, Cause: "isl-outage#1"}},
+		},
+		{
+			name:   "outage clipped at the horizon",
+			events: []trace.Event{{T: 900, Kind: trace.OutageStart, Node: -1, Dur: 200, Cause: "isl-outage#2"}},
+			want:   []latency.Interval{{Start: 900, End: horizon, Kind: "isl-outage", Node: -1, Cause: "isl-outage#2"}},
+		},
+		{
+			name: "sefi spans its recovery, clipped at the horizon",
+			events: []trace.Event{
+				{T: 5, Kind: trace.SEFIStart, Node: 3, Dur: 30},
+				{T: 990, Kind: trace.SEFIStart, Node: 1, Dur: 30},
+			},
+			want: []latency.Interval{
+				{Start: 5, End: 35, Kind: "sefi", Node: 3, Cause: "sefi#3"},
+				{Start: 990, End: horizon, Kind: "sefi", Node: 1, Cause: "sefi#1"},
+			},
+		},
+		{
+			name:   "node death runs to the horizon",
+			events: []trace.Event{{T: 50, Kind: trace.NodeDeath, Node: 2}},
+			want:   []latency.Interval{{Start: 50, End: horizon, Kind: "node-death", Node: 2, Cause: "node-death#2"}},
+		},
+		{
+			name:   "full-rate throttle phase is no window",
+			events: []trace.Event{{T: 0, Kind: trace.Throttle, Node: -1, Dur: 100, Mult: 1}},
+		},
+		{
+			name:   "throttle below full rate",
+			events: []trace.Event{{T: 0, Kind: trace.Throttle, Node: -1, Dur: 100, Mult: 0.5}},
+			want:   []latency.Interval{{Start: 0, End: 100, Kind: "throttle", Node: -1, Cause: "throttle×0.50"}},
+		},
+		{
+			name: "brownout closed by its end event",
+			events: []trace.Event{
+				{T: 100, Kind: trace.BrownoutStart, Node: -1, N: 2, Dur: 500, Cause: "brownout#1"},
+				{T: 300, Kind: trace.BrownoutEnd, Node: -1, N: 2},
+			},
+			want: []latency.Interval{{Start: 100, End: 300, Kind: "brownout", Node: -1, Cause: "brownout#1"}},
+		},
+		{
+			name: "sorted by start time",
+			events: []trace.Event{
+				{T: 30, Kind: trace.OutageStart, Node: -1, Dur: 10, Cause: "isl-outage#1"},
+				{T: 20, Kind: trace.NodeDeath, Node: 0},
+			},
+			want: []latency.Interval{
+				{Start: 20, End: horizon, Kind: "node-death", Node: 0, Cause: "node-death#0"},
+				{Start: 30, End: 40, Kind: "isl-outage", Node: -1, Cause: "isl-outage#1"},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := latency.DegradedIntervals(tc.events, horizon); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("DegradedIntervals = %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }

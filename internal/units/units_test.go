@@ -1,6 +1,7 @@
 package units
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -74,6 +75,46 @@ func TestDataRate(t *testing.T) {
 	}
 	if got := (100 * Mbps).String(); got != "100 Mbit/s" {
 		t.Errorf("100 Mbps String = %q", got)
+	}
+}
+
+func TestQuantityStrings(t *testing.T) {
+	tests := []struct {
+		v    fmt.Stringer
+		want string
+	}{
+		{Kg(250), "250 kg"},
+		{Kg(1500), "1.5 t"},
+		{Area(4), "4 m²"},
+		{Temperature(300), "300 K"},
+		{9 * BitPerSecond, "9 bit/s"},
+		{100 * Kbps, "100 kbit/s"},
+		{GbpsOf(25), "25 Gbit/s"},
+		{Dose(2.5), "2.5 krad(Si)"},
+		{Velocity(7590), "7590 m/s"},
+		{Years(15), "15 yr"},
+	}
+	for _, tt := range tests {
+		if got := tt.v.String(); got != tt.want {
+			t.Errorf("%T(%v).String() = %q, want %q", tt.v, tt.v, got, tt.want)
+		}
+	}
+}
+
+func TestAccessorsReturnBaseUnits(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Kg(2).Kilograms", Kg(2).Kilograms(), 2},
+		{"Area(3).SquareMeters", Area(3).SquareMeters(), 3},
+		{"Dose(4).Krad", Dose(4).Krad(), 4},
+		{"Velocity(5).MetersPerSecond", Velocity(5).MetersPerSecond(), 5},
+		{"MUSD(6).Millions", MUSD(6).Millions(), 6},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %v, want %v", tc.name, tc.got, tc.want)
+		}
 	}
 }
 
