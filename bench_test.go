@@ -276,9 +276,9 @@ func BenchmarkNetsimSharded(b *testing.B) {
 // BenchmarkNetsimSharded4k measures the synchronizer at constellation
 // scale: a 4096-satellite Walker (64 planes × 64 satellites, an SµDC
 // every other plane — 64 cells) over a 10-minute horizon. At this size
-// the per-round machinery itself is on the hook: the tournament tree
-// replaces what would be two 64-cell scans per round, and the active
-// set skips the drained cells. Gated by its own BENCH_LEDGER.json row.
+// the per-round machinery itself is on the hook: the lookahead solver,
+// the active-set scan and the barrier each pass over the 64 cells once
+// per round. Gated by its own BENCH_LEDGER.json row.
 func BenchmarkNetsimSharded4k(b *testing.B) {
 	g, err := topo.Walker(64, 64, 33, 2, 200*time.Millisecond)
 	if err != nil {

@@ -192,7 +192,7 @@ func TestLifetimeDoseVsHardwareDecision(t *testing.T) {
 // TestTenThousandSatelliteSmoke compiles and runs a ~10k-satellite
 // Walker constellation (157 planes × 64 satellites, 157 cells) through
 // the sharded synchronizer for a short horizon — the scale target of
-// the tournament-tree scheduler. Skipped under -short; the run takes
+// the round scheduler. Skipped under -short; the run takes
 // on the order of a second.
 func TestTenThousandSatelliteSmoke(t *testing.T) {
 	if testing.Short() {

@@ -12,7 +12,6 @@ package netsim
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -231,37 +230,50 @@ func TestSimulatorReusesBackingArrays(t *testing.T) {
 
 func TestRunReplicasRecyclesPooledSimulator(t *testing.T) {
 	// After RunReplicas finishes, the pool holds warmed simulators whose
-	// arenas the next run reuses instead of reallocating. The probe
-	// retries: a GC drains sync.Pool (automatic GC is pinned off for the
-	// test's duration) and under the race detector Put randomly drops a
-	// quarter of returned items, so any single getSim may legitimately
-	// come back cold.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// arenas the next run reuses instead of reallocating. A garbage
+	// collection does not empty it, so the first getSim is warm.
 	c := DefaultConfig(workload.Suite[0])
 	c.Duration = 5 * time.Minute
-	for attempt := 0; attempt < 8; attempt++ {
-		if _, err := RunReplicas(c, 4, 1); err != nil {
-			t.Fatal(err)
-		}
-		s := getSim()
-		if cap(s.q.a) == 0 && cap(s.latencies) == 0 {
-			putSim(s) // cold: the pool dropped the warmed simulators
-			continue
-		}
-		if cap(s.q.a) == 0 {
-			t.Error("pooled simulator has no warmed event-heap capacity")
-		}
-		if cap(s.latencies) == 0 {
-			t.Error("pooled simulator has no warmed latency capacity")
-		}
-		if s.rec != nil || s.tr != nil || s.rng.src != nil {
-			t.Error("pooled simulator retains per-run references after put")
-		}
-		if s.win != nil || s.winM != nil {
-			t.Error("pooled simulator retains windowed-telemetry state after put")
-		}
-		putSim(s)
-		return
+	if _, err := RunReplicas(c, 4, 1); err != nil {
+		t.Fatal(err)
 	}
-	t.Error("no warmed simulator surfaced from the pool in 8 rounds")
+	runtime.GC()
+	s := getSim()
+	defer putSim(s)
+	if cap(s.q.a) == 0 {
+		t.Error("pooled simulator has no warmed event-heap capacity")
+	}
+	if cap(s.latencies) == 0 {
+		t.Error("pooled simulator has no warmed latency capacity")
+	}
+	if s.rec != nil || s.tr != nil || s.rng.src != nil {
+		t.Error("pooled simulator retains per-run references after put")
+	}
+	if s.win != nil || s.winM != nil {
+		t.Error("pooled simulator retains windowed-telemetry state after put")
+	}
+}
+
+func TestSimPoolHandsOutLargestArena(t *testing.T) {
+	// The free list hands out the simulator with the most arena
+	// capacity, whatever order the simulators came back in.
+	var l freeList[*simulator]
+	small, large := new(simulator), new(simulator)
+	small.latencies = make([]float64, 0, 10)
+	large.latencies = make([]float64, 0, 1000)
+	l.put(small, small.arenaBytes())
+	l.put(large, large.arenaBytes())
+	l.put(new(simulator), 0)
+	if s, _ := l.get(); s != large {
+		t.Errorf("first get returned arena of %d bytes, want the largest (%d)", s.arenaBytes(), large.arenaBytes())
+	}
+	if s, _ := l.get(); s != small {
+		t.Errorf("second get returned arena of %d bytes, want %d", s.arenaBytes(), small.arenaBytes())
+	}
+	if _, ok := l.get(); !ok {
+		t.Error("third get found the list empty")
+	}
+	if _, ok := l.get(); ok {
+		t.Error("get on an empty list reported a value")
+	}
 }

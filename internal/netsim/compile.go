@@ -200,7 +200,7 @@ func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg 
 	}
 
 	s.sudcs = resizeSudcs(s.sudcs, len(p.sudcs))
-	s.workerSudc = resizeInts(s.workerSudc, p.workers)
+	s.workerSudc = resize(s.workerSudc, p.workers)
 	w0 := 0
 	for i := range p.sudcs {
 		d := &s.sudcs[i]
@@ -219,7 +219,7 @@ func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg 
 	for i := range p.sources {
 		s.sources[i] = sourceState{sats: p.sources[i].sats, edge: p.sources[i].edge}
 	}
-	s.satEdge = resizeInts(s.satEdge, p.sats)
+	s.satEdge = resize(s.satEdge, p.sats)
 
 	s.q.grow(p.sats + 4*p.workers +
 		len(sched.Deaths) + len(sched.Hangs) + len(sched.Outages) + s.degPhases() + 64)

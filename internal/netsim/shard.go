@@ -13,28 +13,31 @@ package netsim
 //
 // — j cannot act before its own next event or before the earliest
 // message that could reach it wakes it. computeLimits solves the
-// fixpoint with a Dijkstra pass over the cell graph (all cells are
-// sources, keyed next_i; cross-cell delays are validated positive) and
-// sets each cell's run limit to
+// fixpoint (all cells are sources, keyed next_i; cross-cell delays are
+// validated positive) and sets each cell's run limit to
 //
 //	limit_i = min_j (T_j + d_ji)
 //
-// collected as the incoming neighbors j settle. By induction on the
-// global event order, nothing cell j ever does happens before T_j, so
-// no message can reach cell i before limit_i: i safely processes every
-// event with at < limit_i this round. A cell whose limit reaches the
-// horizon runs to it inclusively (runUntil's final round, which stops
-// only at at > horizon); a cell with no incoming cross-cell edges has
-// limit_i = +Inf and finishes in its first round. The fixpoint is never more
-// conservative than the old global tmin + min-cross-delay window, and
-// on graphs with heterogeneous delays (short FSO hops, long ring ISLs)
-// cells run far ahead of the old window, collapsing the round count.
+// over the neighbors j that settle within the horizon. By induction on
+// the global event order, nothing cell j ever does happens before T_j,
+// so no message can reach cell i before limit_i: i safely processes
+// every event with at < limit_i this round. A cell whose limit reaches
+// the horizon runs to it inclusively (runUntil's final round, which
+// stops only at at > horizon); a cell with no incoming cross-cell edges
+// has limit_i = +Inf and finishes in its first round. The fixpoint is
+// never more conservative than the old global tmin + min-cross-delay
+// window, and on graphs with heterogeneous delays (short FSO hops, long
+// ring ISLs) cells run far ahead of the old window, collapsing the round
+// count.
 //
 // Mechanics per round: limits are computed, and the active set — cells
 // holding an event below their limit — runs either inline or on the
-// persistent worker pool. At the barrier the runner injects every
-// message the ran cells emitted straight into its destination cell's
-// event heap and refreshes the tournament-tree keys the round changed.
+// persistent worker pool, each runner taking a fixed contiguous share of
+// the ascending active list. A cell's run starts by injecting its inbox
+// and ends by publishing its next-event time. At the barrier the runner
+// appends every message the ran cells emitted to its destination cell's
+// inbox, lowers the destination's next-event key to the message's
+// arrival time, and reads the new minimum key.
 //
 // Determinism contract: the round structure, the per-cell limits, the
 // per-cell RNG streams (par.ForkSeed(Seed, cell)), and the message
@@ -44,19 +47,20 @@ package netsim
 // Results are byte-identical for any shard count.
 //
 // Arrival-time order is never imposed, because no output can observe
-// it: inject gives one destination's batch consecutive sequence
-// numbers, above every event already queued in that cell and below
-// every event it pushes later, and each cell pops by (at, seq). So
-// reordering a batch changes the pop order only among messages with
-// equal at, and those pop in delivery order — the order a stable sort
-// by arrival time would also keep.
+// it: inject gives a cell's inbox consecutive sequence numbers, above
+// every event already queued in that cell and below every event it
+// pushes later, and each cell pops by (at, seq). So reordering the inbox
+// changes the pop order only among messages with equal at, and those
+// pop in delivery order — the order a stable sort by arrival time would
+// also keep. A cell pushes nothing between two of its runs, so injecting
+// the inbox when the cell next runs numbers every message as injecting
+// it at each barrier would. Messages still in an inbox when the run ends
+// arrive past the horizon.
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -74,9 +78,19 @@ type cellEdge struct {
 	delay float64 // min cross-cell propagation delay, s
 }
 
+// limEntry is one tentative settle time queued in a solver bucket.
+type limEntry struct {
+	at   float64
+	cell int32
+	next int32 // next entry of the same bucket, −1 at the end
+}
+
 // shardRunner drives one topology run: the per-cell simulators and the
-// synchronization state. Cross-cell messages wait only in their source
-// cell's outbox, from emission to the round's barrier.
+// synchronization state. A cross-cell message waits in its source
+// cell's outbox from emission to the round's barrier, then in its
+// destination cell's inbox until that cell next runs. Runners are kept
+// in runnerPool between runs, with every array below; the inboxes are
+// kept with the simulators.
 type shardRunner struct {
 	c    Config
 	sims []*simulator
@@ -85,30 +99,33 @@ type shardRunner struct {
 	hasCross bool
 	eff      int // goroutines advancing cells
 
-	// Lookahead state. next holds every cell's next-event time; dij is
-	// the Dijkstra scratch tree of tentative output times. The stamp
-	// arrays (done, lstamp) are versioned by round so no per-round
-	// O(cells) clearing is needed.
-	out    [][]cellEdge
-	next   minTree
-	dij    minTree
+	// Lookahead state. Cell u's outgoing cross-cell edges are
+	// edges[edgeAt[u]:edgeAt[u+1]]. key holds every cell's next-event
+	// time, its inbox included, and tmin their minimum. The limit stamps
+	// (lstamp) are versioned by round so no per-round O(cells) clearing
+	// is needed. est, bucket and ents are computeLimits' scratch.
+	edges  []cellEdge
+	edgeAt []int32
+	dmin   float64 // smallest cross-cell delay: the solver's bucket width
+	perD   float64 // 1/dmin
+	key    []float64
+	tmin   float64
 	limit  []float64
 	lstamp []int
 	finalC []bool
-	done   []int
-	popped []int
-	mark   []uint64 // buildActive's cell bitset, all zero between rounds
-	active []int    // cells to run this round, ascending
+	est    []float64 // tentative (then settled) T per cell
+	bucket []int32   // head entry of each bucket, −1 when empty
+	lastB  int       // highest bucket holding an entry
+	ents   []limEntry
+	active []int // cells to run this round, ascending
 	round  int
 
-	// Persistent worker pool (lazy; see runActiveCells). Workers pull
-	// active-list indices off workIdx, so the per-round cost is one
-	// channel send per worker instead of a goroutine spawn per cell.
-	// Each worker holds one slot of the par budget until stopPool.
+	// Persistent worker pool (lazy; see runActiveCells). Helper h runs
+	// share h+1 of every round's active list and the caller share 0.
+	// Each helper holds one slot of the par budget until stopPool.
 	started bool
-	wake    []chan struct{}
-	wg      sync.WaitGroup
-	workIdx atomic.Int64
+	helpers int
+	pool    *handoff
 
 	syncStats SyncStats
 
@@ -120,7 +137,15 @@ type shardRunner struct {
 
 	weights []int // per-cell worker counts, for merging
 	linksN  []int // per-cell link counts
+
+	// Merged latency samples, kept across runs (finish).
+	allLat  []float64
+	tierLat [placement.NumTiers][]float64
 }
+
+// runnerPool keeps finished runners, so a run reuses the solver
+// scratch and merged latency buffers of an earlier one.
+var runnerPool freeList[*shardRunner]
 
 // newShardRunner builds the per-cell simulators. A single-cell
 // topology runs on the root seed with no observability scoping and
@@ -130,28 +155,21 @@ type shardRunner struct {
 // cell.
 func newShardRunner(c Config, plans []cellPlan, deg *degrade.Schedule) (*shardRunner, error) {
 	n := len(plans)
-	r := &shardRunner{
-		c:       c,
-		horizon: c.Duration.Seconds(),
-		sims:    make([]*simulator, 0, n),
-		weights: make([]int, n),
-		linksN:  make([]int, n),
-		limit:   make([]float64, n),
-		lstamp:  make([]int, n),
-		finalC:  make([]bool, n),
-		done:    make([]int, n),
-		mark:    make([]uint64, (n+63)/64),
+	r, ok := runnerPool.get()
+	if !ok {
+		r = new(shardRunner)
 	}
+	r.reset(c, n)
 	if n > 1 {
 		outT, _ := c.Topology.CellGraph()
-		r.out = make([][]cellEdge, n)
 		for i, row := range outT {
+			r.edgeAt[i] = int32(len(r.edges))
 			for _, e := range row {
-				r.out[i] = append(r.out[i], cellEdge{cell: e.Cell, delay: e.Delay.Seconds()})
-				r.hasCross = true
+				r.edges = append(r.edges, cellEdge{cell: e.Cell, delay: e.Delay.Seconds()})
 			}
 		}
 	}
+	r.sealEdges()
 	if c.Window > 0 {
 		r.winM = window.NewMerger(c.Window.Seconds(), c.OnWindow)
 		r.winNext = c.Window.Seconds()
@@ -200,12 +218,81 @@ func newShardRunner(c Config, plans []cellPlan, deg *degrade.Schedule) (*shardRu
 		}
 		r.weights[i] = p.workers
 		r.linksN[i] = len(p.links)
+		r.key[i] = s.nextAt()
 	}
-	r.next.reset(n)
-	for i, s := range r.sims {
-		r.next.update(i, s.nextAt())
-	}
+	r.tmin = minKey(r.key)
 	return r, nil
+}
+
+// sealEdges closes the last cell's edge row and derives the solver's
+// bucket width from the edges.
+func (r *shardRunner) sealEdges() {
+	n := len(r.edgeAt) - 1
+	r.edgeAt[n] = int32(len(r.edges))
+	r.hasCross = len(r.edges) > 0
+	r.dmin = math.Inf(1)
+	for _, e := range r.edges {
+		r.dmin = math.Min(r.dmin, e.delay)
+	}
+	r.perD = 1 / r.dmin
+}
+
+// reset sizes a fresh or recycled runner for n cells, keeping every
+// backing array that is large enough.
+func (r *shardRunner) reset(c Config, n int) {
+	r.c = c
+	r.horizon = c.Duration.Seconds()
+	r.sims = r.sims[:0]
+	r.edges = r.edges[:0]
+	r.edgeAt = resize(r.edgeAt, n+1)
+	clear(r.edgeAt)
+	r.weights = resize(r.weights, n)
+	r.linksN = resize(r.linksN, n)
+	r.key = resize(r.key, n)
+	r.limit = resize(r.limit, n)
+	r.est = resize(r.est, n)
+	r.lstamp = resize(r.lstamp, n)
+	clear(r.lstamp)
+	r.finalC = resize(r.finalC, n)
+	r.bucket = resize(r.bucket, n)
+	r.ents = r.ents[:0]
+	r.active = r.active[:0]
+	r.round = 0
+	r.started, r.helpers = false, 0
+	r.syncStats = SyncStats{}
+	r.winM, r.winNext = nil, 0
+}
+
+// minKey returns the minimum of keys (+Inf when empty). Keys are never
+// NaN, so the plain compare suffices; slices.Min, which orders NaNs,
+// took three times as long over 64 keys.
+func minKey(keys []float64) float64 {
+	m := math.Inf(1)
+	for _, k := range keys {
+		if k < m {
+			m = k
+		}
+	}
+	return m
+}
+
+// arenaBytes is the capacity of the runner's run-sized arrays, in
+// bytes: runnerPool hands out the largest.
+func (r *shardRunner) arenaBytes() int {
+	n := cap(r.allLat)
+	for t := range r.tierLat {
+		n += cap(r.tierLat[t])
+	}
+	return 8 * n
+}
+
+// release returns the runner to runnerPool, dropping the references it
+// holds to the finished run.
+func (r *shardRunner) release() {
+	clear(r.sims)
+	r.c = Config{}
+	r.winM = nil
+	runnerPool.put(r, r.arenaBytes())
 }
 
 // window advances the active cells through one synchronization round
@@ -213,12 +300,11 @@ func newShardRunner(c Config, plans []cellPlan, deg *degrade.Schedule) (*shardRu
 // once no cell holds an event within the horizon.
 func (r *shardRunner) window() bool {
 	r.round++
-	tmin := r.next.minKey()
-	if tmin > r.horizon {
+	if r.tmin > r.horizon {
 		return false
 	}
 	r.computeLimits()
-	r.buildActive(tmin)
+	r.buildActive()
 	if len(r.active) == 0 {
 		// Unreachable while tmin ≤ horizon (the tmin cell's limit
 		// exceeds tmin by its positive min incoming delay), but kept as
@@ -226,33 +312,34 @@ func (r *shardRunner) window() bool {
 		return false
 	}
 	r.runActiveCells()
-	r.deliverOutboxes()
+	r.deliver()
 	r.flushWindows()
 	return true
 }
 
-// deliverOutboxes is the round's barrier, single-threaded: it injects
-// every outbox of the ran cells into the destination cells, in
-// ascending source cell order and emission order within a cell, and
-// refreshes the next-event keys. A message can only pull its
-// destination's next event earlier, to m.at, so that bound is exact
-// for a cell that did not run; the cells that ran are re-read once
-// every message has landed.
-func (r *shardRunner) deliverOutboxes() {
+// deliver is the round's barrier, single-threaded. It keys every ran
+// cell by the next-event time the cell published, then appends every
+// outbox of the ran cells to its destination's inbox, in ascending
+// source cell order and emission order within a cell, and lowers the
+// destination's key to each message's arrival time. The destination
+// injects its inbox when it next runs, and a source empties its outbox
+// when it next runs, so the barrier writes no ran cell's state.
+func (r *shardRunner) deliver() {
 	for _, c := range r.active {
-		s := r.sims[c]
-		for _, m := range s.outbox {
-			r.sims[m.cell].inject(m)
-			if m.at < r.next.key[m.cell] {
-				r.next.update(m.cell, m.at)
+		r.key[c] = r.sims[c].pubAt
+	}
+	for _, c := range r.active {
+		out := r.sims[c].outbox
+		for _, m := range out {
+			d := r.sims[m.cell]
+			d.inbox = append(d.inbox, m)
+			if m.at < r.key[m.cell] {
+				r.key[m.cell] = m.at
 			}
 		}
-		r.syncStats.CrossMsgs += len(s.outbox)
-		s.outbox = s.outbox[:0]
+		r.syncStats.CrossMsgs += len(out)
 	}
-	for _, c := range r.active {
-		r.next.update(c, r.sims[c].nextAt())
-	}
+	r.tmin = minKey(r.key)
 }
 
 // limitOf returns cell i's run limit for this round (+Inf when no
@@ -265,82 +352,90 @@ func (r *shardRunner) limitOf(i int) float64 {
 }
 
 // computeLimits solves the lookahead fixpoint for the round (see the
-// package comment): a Dijkstra pass over the cell graph keyed by
-// next-event times, recording each cell's earliest possible incoming
-// message as its neighbors settle. Cells settling past the horizon are
-// cut off — their contributions cannot pull any limit below it.
+// package comment) and records each cell's earliest possible incoming
+// message as its neighbors settle. A cell settles when est holds its T
+// and T ≤ horizon; cells whose T lies past the horizon never settle and
+// contribute to no limit.
+//
+// The solver is a bucketed label-correcting pass (Δ-stepping). Bucket b
+// holds the tentative times in [tmin + b·dmin, tmin + (b+1)·dmin), the
+// last bucket everything beyond. The buckets drain in ascending order,
+// each until it is empty, and a cell relaxed by a drained entry is
+// queued again at its lower time. The bucket index never decreases with
+// the time, so once a bucket is empty no later entry can lower a time
+// in it, and every cell's est ends at its fixpoint T — the minimum over
+// paths, which any exact shortest-path order reaches. A relaxation adds
+// at least dmin, so it lands in a later bucket (up to rounding, or in
+// the last bucket), and almost every cell is drained exactly once: no
+// cell order within a bucket is needed.
 func (r *shardRunner) computeLimits() {
-	r.popped = r.popped[:0]
 	if !r.hasCross {
 		return
 	}
-	r.dij.loadFrom(&r.next)
-	inf := math.Inf(1)
-	for {
-		u := r.dij.minLeaf()
-		k := r.dij.key[u]
-		if k > r.horizon {
-			return
+	for b := range r.bucket {
+		r.bucket[b] = -1
+	}
+	r.ents, r.lastB = r.ents[:0], 0
+	for u, k := range r.key {
+		r.est[u] = k
+		if k <= r.horizon {
+			r.enqueue(u, k)
 		}
-		r.dij.update(u, inf)
-		r.done[u] = r.round
-		r.popped = append(r.popped, u)
-		for _, e := range r.out[u] {
-			cand := k + e.delay
-			if r.lstamp[e.cell] != r.round || cand < r.limit[e.cell] {
-				r.lstamp[e.cell] = r.round
-				r.limit[e.cell] = cand
+	}
+	for b := 0; b <= r.lastB; b++ {
+		for e := r.bucket[b]; e >= 0; e = r.bucket[b] {
+			en := r.ents[e]
+			r.bucket[b] = en.next
+			u := int(en.cell)
+			if en.at != r.est[u] {
+				continue // superseded by a lower time queued later
 			}
-			if r.done[e.cell] != r.round && cand < r.dij.key[e.cell] {
-				r.dij.update(e.cell, cand)
+			for _, ed := range r.edges[r.edgeAt[u]:r.edgeAt[u+1]] {
+				v, cand := ed.cell, en.at+ed.delay
+				if r.lstamp[v] != r.round || cand < r.limit[v] {
+					r.lstamp[v] = r.round
+					r.limit[v] = cand
+				}
+				if cand < r.est[v] && cand <= r.horizon {
+					r.est[v] = cand
+					r.enqueue(v, cand)
+				}
 			}
 		}
 	}
 }
 
+// enqueue queues cell u's tentative time at in its bucket.
+func (r *shardRunner) enqueue(u int, at float64) {
+	b := len(r.bucket) - 1
+	if f := (at - r.tmin) * r.perD; f < float64(b) {
+		b = int(f)
+	}
+	r.lastB = max(r.lastB, b)
+	r.ents = append(r.ents, limEntry{at: at, cell: int32(u), next: r.bucket[b]})
+	r.bucket[b] = int32(len(r.ents) - 1)
+}
+
 // buildActive selects the cells to run this round — every cell holding
 // an event below its limit (idle and drained cells are skipped) — and
-// fixes each one's run limit and final flag. The list is in ascending
-// cell order, the order the barrier delivers outboxes in. Only cells
-// settled by the Dijkstra pass can qualify, so on graphs with
-// cross-cell edges the scan visits the settled cells and one bit per
-// cell, never the full cell array.
-func (r *shardRunner) buildActive(tmin float64) {
+// fixes each one's run limit and final flag. A cell with an event
+// within the horizon has T ≤ next ≤ horizon, so it has settled. The
+// list is in ascending cell order, the order the barrier delivers
+// outboxes in.
+func (r *shardRunner) buildActive() {
 	r.active = r.active[:0]
-	if !r.hasCross {
-		// Independent cells: one final round runs each to the horizon.
-		for i, s := range r.sims {
-			if s.nextAt() <= r.horizon {
-				r.limit[i], r.lstamp[i], r.finalC[i] = r.horizon, r.round, true
-				r.active = append(r.active, i)
-			}
+	for u, nx := range r.key {
+		if nx > r.horizon {
+			continue
 		}
-	} else {
-		for _, u := range r.popped {
-			lim := r.limitOf(u)
-			nx := r.next.key[u]
-			if lim >= r.horizon {
-				if nx <= r.horizon {
-					r.limit[u], r.lstamp[u], r.finalC[u] = r.horizon, r.round, true
-					r.mark[u>>6] |= 1 << (u & 63)
-				}
-			} else if nx < lim {
-				r.finalC[u] = false
-				r.mark[u>>6] |= 1 << (u & 63)
-			}
+		if lim := r.limitOf(u); lim >= r.horizon {
+			r.limit[u], r.lstamp[u], r.finalC[u] = r.horizon, r.round, true
+		} else if nx < lim {
+			r.finalC[u] = false
+		} else {
+			continue
 		}
-		// Settle order is (T, cell); the barrier delivers in ascending
-		// cell order. One ascending pass over the bitset collects the
-		// marked cells in that order and clears the words it read.
-		for w, m := range r.mark {
-			if m == 0 {
-				continue
-			}
-			for ; m != 0; m &= m - 1 {
-				r.active = append(r.active, w<<6|bits.TrailingZeros64(m))
-			}
-			r.mark[w] = 0
-		}
+		r.active = append(r.active, u)
 	}
 	r.syncStats.Rounds++
 	r.syncStats.CellRuns += len(r.active)
@@ -349,108 +444,194 @@ func (r *shardRunner) buildActive(tmin float64) {
 		if w > r.horizon {
 			w = r.horizon
 		}
-		r.syncStats.LookaheadSum += w - tmin
+		r.syncStats.LookaheadSum += w - r.tmin
 	}
 }
 
 // runActiveCells advances every active cell to its limit. With one
 // effective shard (or one active cell) the loop runs inline; otherwise
-// the persistent workers are woken and pull cells off the shared
-// index. A cell writes only its own state and outbox, so nothing is
-// shared until the barrier.
+// the round is handed to the persistent helpers, and every runner
+// advances its own share. A cell writes only its own state, so nothing
+// is shared until the barrier.
 func (r *shardRunner) runActiveCells() {
+	if r.eff > 1 && len(r.active) > 1 && !r.started {
+		r.startPool()
+	}
 	if r.eff <= 1 || len(r.active) == 1 {
 		for _, c := range r.active {
 			r.runCell(c)
 		}
 		return
 	}
-	if !r.started {
-		r.startPool()
+	e := r.pool.epoch.Add(1)
+	for i := range r.pool.park {
+		r.pool.park[i].signal()
 	}
-	r.workIdx.Store(0)
-	r.wg.Add(len(r.wake))
-	for _, ch := range r.wake {
-		ch <- struct{}{}
-	}
-	r.runShare()
-	r.wg.Wait()
+	r.runShare(0)
+	r.pool.caller.wait(&r.pool.done, e*int64(r.helpers))
 }
 
-// runCell executes one cell's round.
+// runCell executes one cell's round: it empties the outbox the last
+// barrier read, injects the messages that reached the cell since its
+// last run, in delivery order, advances the cell to its limit, and
+// publishes its next-event time.
 func (r *shardRunner) runCell(c int) {
-	r.sims[c].runUntil(r.limit[c], r.finalC[c])
+	s := r.sims[c]
+	s.outbox = s.outbox[:0]
+	for _, m := range s.inbox {
+		s.inject(m)
+	}
+	s.inbox = s.inbox[:0]
+	s.runUntil(r.limit[c], r.finalC[c])
+	s.pubAt = s.nextAt()
 }
 
-// runShare drains active-list indices until the round's work is gone.
-func (r *shardRunner) runShare() {
-	for {
-		i := int(r.workIdx.Add(1)) - 1
-		if i >= len(r.active) {
+// runShare runs share w of the ascending active list: the w-th of eff
+// contiguous slices, so each runner keeps advancing about the same
+// cells round after round.
+func (r *shardRunner) runShare(w int) {
+	n := len(r.active)
+	for _, c := range r.active[w*n/r.eff : (w+1)*n/r.eff] {
+		r.runCell(c)
+	}
+}
+
+// spinFor bounds how long a runner polls for its next hand-off before
+// it parks. A round's serial bookkeeping and the gap between two
+// runners' shares end well inside it, so a busy run never parks; a
+// longer gap (a run inside a busy par item, a descheduled runner)
+// parks instead of taking CPU time from the runner it waits for.
+const spinFor = 100 * time.Microsecond
+
+// handoff is the pool's round protocol. The caller publishes a round by
+// advancing epoch after writing its active list, limits and inboxes;
+// each helper runs its share and advances done, and the helper that
+// completes the round wakes the caller. Both sides spin, then park.
+type handoff struct {
+	epoch  atomic.Int64 // rounds handed to the helpers
+	_      [56]byte     // epoch and done on separate lines: each side polls the one the other writes
+	done   atomic.Int64 // helper shares finished, over all rounds
+	quit   bool         // the round stopPool publishes
+	caller parker
+	park   []parker // one per helper
+}
+
+// parker parks one goroutine that waits for a counter to reach a
+// target, until the goroutine that advances the counter signals it.
+type parker struct {
+	asleep atomic.Bool
+	wake   chan struct{} // carries the one token of a claimed sleep
+}
+
+// wait returns once ctr ≥ want: it polls for spinFor, reading the
+// clock every 256 polls, then parks. A sleeper either withdraws its own
+// sleep or takes the token of the signal that claimed it, so a token
+// never outlives its sleep.
+func (p *parker) wait(ctr *atomic.Int64, want int64) {
+	if ctr.Load() >= want {
+		return
+	}
+	start := time.Now()
+	for i := 1; ctr.Load() < want; i++ {
+		if i&255 != 0 || time.Since(start) < spinFor {
+			continue
+		}
+		p.asleep.Store(true)
+		if ctr.Load() >= want && p.asleep.CompareAndSwap(true, false) {
 			return
 		}
-		r.runCell(r.active[i])
+		<-p.wake
+	}
+}
+
+// signal wakes the waiter if it parked. Call it after advancing the
+// counter: either the waiter sees the new count before it sleeps, or
+// signal sees it asleep.
+func (p *parker) signal() {
+	if p.asleep.Load() && p.asleep.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
 	}
 }
 
 // startPool takes up to eff−1 helper slots from the par budget
-// without waiting and spawns one persistent worker per slot (the
-// caller's goroutine is the other runner). Each waits on its wake
-// channel, runs its share of the active list, and signals the barrier
-// WaitGroup. A run started while every slot is busy — a sharded run
-// inside a busy par item — gets no worker and runs its cells inline.
+// without waiting and starts one persistent helper per slot (the
+// caller's goroutine is the other runner). A run started while every
+// slot is busy — a sharded run inside a busy par item — gets no helper
+// and runs its cells inline.
 func (r *shardRunner) startPool() {
 	r.started = true
 	k := par.AcquireHelpers(r.eff - 1)
-	r.eff = k + 1
+	r.eff, r.helpers = k+1, k
 	if k == 0 {
 		return
 	}
-	r.wake = make([]chan struct{}, k)
-	for i := range r.wake {
-		ch := make(chan struct{}, 1)
-		r.wake[i] = ch
-		go func() {
-			for range ch {
-				r.runShare()
-				r.wg.Done()
-			}
-		}()
+	r.pool = &handoff{park: make([]parker, k)}
+	r.pool.caller.wake = make(chan struct{}, 1)
+	for h := range r.pool.park {
+		r.pool.park[h].wake = make(chan struct{}, 1)
+		go r.helper(h)
 	}
 }
 
-// stopPool retires the persistent workers and returns their slots to
-// the par budget.
+// helper is helper h's loop: wait for the next round, run share h+1,
+// report it done. It returns at the round stopPool publishes.
+func (r *shardRunner) helper(h int) {
+	p := r.pool
+	k := int64(r.helpers)
+	for e := int64(1); ; e++ {
+		p.park[h].wait(&p.epoch, e)
+		quit := p.quit // read before done: a finished round lets stopPool write it
+		if !quit {
+			r.runShare(h + 1)
+		}
+		if p.done.Add(1) == e*k {
+			p.caller.signal()
+		}
+		if quit {
+			return
+		}
+	}
+}
+
+// stopPool retires the helpers, waits until each has left its loop,
+// and returns their slots to the par budget.
 func (r *shardRunner) stopPool() {
 	if !r.started {
 		return
 	}
-	for _, ch := range r.wake {
-		close(ch)
-	}
-	par.ReleaseHelpers(len(r.wake))
 	r.started = false
+	if r.helpers == 0 {
+		return
+	}
+	r.pool.quit = true
+	e := r.pool.epoch.Add(1)
+	for i := range r.pool.park {
+		r.pool.park[i].signal()
+	}
+	r.pool.caller.wait(&r.pool.done, e*int64(r.helpers))
+	par.ReleaseHelpers(r.helpers)
+	r.pool = nil
 }
 
 // flushWindows advances every cell's window collector to the
 // cross-cell watermark — the minimum next event time over all cells,
 // capped at the horizon — and folds the closed fragments into the
-// merger. Messages in flight already sit in their destination cells'
-// heaps, so the tree's minimum covers them. Below the watermark every
-// cell's environment is provably constant (its own next event and
-// every message that could perturb it lie at or beyond it), so the
-// advance is exact. Rounds whose watermark has not crossed the next
-// window boundary skip the O(cells) drain entirely: the fragments fold
-// identically once the boundary is crossed, because each cell's
-// occupancy between its own events is constant. The watermark and the
-// cell drain order are pure functions of the config, never of
-// Config.Shards, so the merged window stream inherits the
-// byte-identity contract.
+// merger. A message in flight waits in its destination's inbox, and
+// the destination's key already covers its arrival time, so the
+// minimum key covers it. Below the watermark every cell's environment
+// is provably constant (its own next event and every message that
+// could perturb it lie at or beyond it), so the advance is exact.
+// Rounds whose watermark has not crossed the next window boundary skip
+// the O(cells) drain entirely: the fragments fold identically once the
+// boundary is crossed, because each cell's occupancy between its own
+// events is constant. The watermark and the cell drain order are pure
+// functions of the config, never of Config.Shards, so the merged
+// window stream inherits the byte-identity contract.
 func (r *shardRunner) flushWindows() {
 	if r.winM == nil {
 		return
 	}
-	wm := r.next.minKey()
+	wm := r.tmin
 	if wm > r.horizon {
 		wm = r.horizon
 	}
@@ -495,10 +676,10 @@ func (r *shardRunner) finish() Stats {
 			nTier[t] += len(s.tierLats[t])
 		}
 	}
-	allLat := make([]float64, 0, nLat)
-	var tierLat [placement.NumTiers][]float64
+	allLat := growFloats(r.allLat, nLat)
+	tierLat := &r.tierLat
 	for t := range tierLat {
-		tierLat[t] = make([]float64, 0, nTier[t])
+		tierLat[t] = growFloats(tierLat[t], nTier[t])
 	}
 	var placeCost float64
 	var out Stats
@@ -554,6 +735,7 @@ func (r *shardRunner) finish() Stats {
 		s.closeWindows(r.winM)
 		putSim(s)
 	}
+	r.allLat = allLat
 	r.sealWindows()
 	// A frame that crossed cells counts +1 in its producer's generated
 	// and −1 via its consumer's processed/shed/lost, so the global sum
@@ -581,11 +763,19 @@ func (r *shardRunner) finish() Stats {
 		out.P95Latency = time.Duration(p95 * float64(time.Second))
 	}
 	if r.c.Placement != nil {
-		summarizeTiers(&out, &tierLat, placeCost)
+		summarizeTiers(&out, tierLat, placeCost)
 	}
 	out.KeptUp = out.Backlog <= 2*r.c.BatchSize*totalWorkers
 	out.Sync = r.syncStats
 	return out
+}
+
+// growFloats empties a, keeping its backing array when it holds n.
+func growFloats(a []float64, n int) []float64 {
+	if cap(a) >= n {
+		return a[:0]
+	}
+	return make([]float64, 0, n)
 }
 
 // sealWindows flushes the trailing windows (including a partial one)
@@ -661,5 +851,6 @@ func runTopology(c Config) (Stats, error) {
 	if r.winM != nil {
 		emitSLO(c, r.winM.Windows())
 	}
+	r.release()
 	return stats, nil
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+	"unsafe"
 
 	"sudc/internal/degrade"
 	"sudc/internal/faults"
@@ -101,8 +102,8 @@ type shardMsg struct {
 
 // simulator is one run's (or one shard cell's) entire state. The state
 // lives in a struct rather than closure-captured locals so the loop
-// body is allocation-free and a sync.Pool can recycle every backing
-// array across runs; tests drive runUntil to pin the zero-allocation
+// body is allocation-free and simPool can recycle every backing array
+// across runs; tests drive runUntil to pin the zero-allocation
 // steady state with testing.AllocsPerRun.
 //
 // Each lifecycle point has one method that updates Stats and fans out
@@ -112,6 +113,13 @@ type shardMsg struct {
 // enqueue or SµDC arrival), complete (a computed frame), strand (a
 // batch returned for re-dispatch), and serve/served (placement tiers).
 type simulator struct {
+	// Cross-cell exchange (sharded runs only), first so that it fills
+	// one cache line: the cell's runner fills outbox and pubAt, and the
+	// barrier reads them and appends to the destinations' inboxes.
+	outbox []shardMsg // frames sent to other cells in the cell's last run, in emission order
+	inbox  []shardMsg // messages delivered since the cell's last run, in delivery order
+	pubAt  float64    // next-event time at the end of the cell's last run
+
 	// Derived per-run constants.
 	c            Config
 	horizon      float64
@@ -146,9 +154,8 @@ type simulator struct {
 	workers     []workerState
 	freeBatches [][]frame // batch free-list, recycled on frame completion
 
-	// Cross-cell messaging (sharded runs only).
-	outbox    []shardMsg // frames sent to other cells this round, in emission order
-	arrivals  []shardMsg // slot-addressed inbox; evArriveMsg.who indexes it
+	// Arrived cross-cell messages (sharded runs only).
+	arrivals  []shardMsg // slot-addressed arrivals; evArriveMsg.who indexes it
 	freeSlots []int      // recycled arrival slots
 	crossSent int
 	crossRecv int
@@ -220,12 +227,62 @@ type simulator struct {
 	placeBase placement.Tier // zero-queue base tier of the placement policy
 }
 
-// simPool recycles simulator state — heap, ring buffers, latency and
-// batch arrays — across runs, so RunReplicas and repeated sweeps reach
-// a steady state with no per-run arena growth.
-var simPool = sync.Pool{New: func() any { return new(simulator) }}
+// freeList keeps values for reuse across runs. Unlike a sync.Pool,
+// which a garbage collection empties and whose per-P slots hide a value
+// from runs scheduled elsewhere, it never drops a value, and get hands
+// out the value with the largest size recorded by put: the warmest
+// arenas go to the next run. It holds at most as many values as were
+// ever in use at once — for simulators, one per cell of the largest
+// concurrent runs (64 for a 64-cell Walker).
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+	sizes []int
+}
 
-func getSim() *simulator { return simPool.Get().(*simulator) }
+// get removes and returns the value with the largest recorded size, or
+// reports false when the list is empty.
+func (l *freeList[T]) get() (v T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		return v, false
+	}
+	best := 0
+	for i, sz := range l.sizes {
+		if sz > l.sizes[best] {
+			best = i
+		}
+	}
+	v = l.items[best]
+	l.items[best], l.sizes[best] = l.items[n-1], l.sizes[n-1]
+	var zero T
+	l.items[n-1] = zero
+	l.items, l.sizes = l.items[:n-1], l.sizes[:n-1]
+	return v, true
+}
+
+// put returns v to the list with its size.
+func (l *freeList[T]) put(v T, size int) {
+	l.mu.Lock()
+	l.items = append(l.items, v)
+	l.sizes = append(l.sizes, size)
+	l.mu.Unlock()
+}
+
+// simPool keeps simulator state — heap, ring buffers, latency and batch
+// arrays — across runs, so RunReplicas and repeated sweeps reach a
+// steady state with no per-run arena growth.
+var simPool freeList[*simulator]
+
+func getSim() *simulator {
+	if s, ok := simPool.get(); ok {
+		return s
+	}
+	return new(simulator)
+}
+
 func putSim(s *simulator) {
 	// Drop references owned by the caller so the pool never retains a
 	// registry or recorder across runs. ownRand stays: the simulator owns
@@ -237,15 +294,38 @@ func putSim(s *simulator) {
 	s.place = nil
 	s.win = nil
 	s.winM = nil
-	simPool.Put(s)
+	simPool.put(s, s.arenaBytes())
 }
 
-// resizeInts reuses an int slice's backing array for n entries.
-func resizeInts(a []int, n int) []int {
+// arenaBytes is the capacity of the simulator's run-sized arrays, in
+// bytes — what a run can use before it grows any: the event heap, the
+// capture ring, the latency buffers and every frame deque.
+func (s *simulator) arenaBytes() int {
+	n := cap(s.q.a)*int(unsafe.Sizeof(event{})) + cap(s.fq.a)*int(unsafe.Sizeof(frameTimer{})) +
+		cap(s.latencies)*8
+	frames := cap(s.dlQueue.buf) + cap(s.edgeWait.buf) + cap(s.cloudWait.buf)
+	for t := range s.tierLats {
+		n += cap(s.tierLats[t]) * 8
+		frames += cap(s.tierQ[t].buf) + cap(s.tierRun[t].buf)
+	}
+	links := s.links[:cap(s.links)]
+	for i := range links {
+		frames += cap(links[i].queue.buf) + cap(links[i].flight.buf)
+	}
+	sudcs := s.sudcs[:cap(s.sudcs)]
+	for i := range sudcs {
+		frames += cap(sudcs[i].input.buf)
+	}
+	return n + frames*int(unsafe.Sizeof(frame{}))
+}
+
+// resize reuses a slice's backing array for n entries; a new array is
+// zeroed, a reused one keeps its old values.
+func resize[T any](a []T, n int) []T {
 	if cap(a) >= n {
 		return a[:n]
 	}
-	return make([]int, n)
+	return make([]T, n)
 }
 
 // resizeLinks resizes the link array to n entries, zeroing per-run
@@ -333,6 +413,7 @@ func (s *simulator) resetCommon(c Config, workers int) {
 	s.fq.reset()
 	s.seq = 0
 	s.outbox = s.outbox[:0]
+	s.inbox = s.inbox[:0]
 	s.arrivals = s.arrivals[:0]
 	s.freeSlots = s.freeSlots[:0]
 	s.crossSent, s.crossRecv = 0, 0

@@ -1,7 +1,7 @@
 package netsim
 
-// Property tests for the sharded synchronizer: the barrier's delivery
-// order — ascending source cell, then emission order — against the
+// Property tests for the sharded synchronizer: the delivery order —
+// ascending source cell, then emission order — against the
 // arrival-time order it never imposes, and the conservative
 // scheduler's never-skip invariant — no cell is ever left holding an
 // event inside its proven-safe run limit.
@@ -109,36 +109,64 @@ func FuzzInjectOrder(f *testing.F) {
 }
 
 // TestBarrierDeliversEqualTimesInSourceOrder pins the tie order of the
-// barrier: messages with equal arrival times from two source cells pop
-// in their destination in ascending source cell order, then emission
-// order, and an earlier message still pops first.
+// barrier and of the destination's injection: messages with equal
+// arrival times from two source cells pop in their destination in
+// ascending source cell order, then emission order, a later round's
+// messages after an earlier round's, and an earlier message still pops
+// first.
 func TestBarrierDeliversEqualTimesInSourceOrder(t *testing.T) {
+	inf := math.Inf(1)
 	r := &shardRunner{
 		sims:   []*simulator{new(simulator), new(simulator), new(simulator)},
 		active: []int{0, 1},
+		key:    []float64{inf, inf, inf},
+		limit:  make([]float64, 3),
+		finalC: make([]bool, 3),
 	}
-	r.next.reset(len(r.sims))
 	const dst = 2
+	r.sims[0].pubAt, r.sims[1].pubAt, r.sims[dst].pubAt = inf, inf, inf
 	r.sims[0].outbox = []shardMsg{
 		{at: 5, f: frame{id: 1}, cell: dst},
 		{at: 5, f: frame{id: 2}, cell: dst},
 	}
 	r.sims[1].outbox = []shardMsg{
 		{at: 5, f: frame{id: 3}, cell: dst},
-		{at: 3, f: frame{id: 4}, cell: dst},
+		{at: 4, f: frame{id: 4}, cell: dst},
 		{at: 5, f: frame{id: 5}, cell: dst},
 	}
-	r.deliverOutboxes()
+	r.deliver()
 	if got := r.syncStats.CrossMsgs; got != 5 {
 		t.Errorf("CrossMsgs = %d, want 5", got)
 	}
-	if len(r.sims[0].outbox) != 0 || len(r.sims[1].outbox) != 0 {
-		t.Error("outboxes not cleared at the barrier")
+	if k := r.key[dst]; k != 4 || r.tmin != 4 {
+		t.Errorf("destination's next-event key = %v, minimum key %v; want 4 and 4", k, r.tmin)
 	}
-	if k := r.next.key[dst]; k != 3 {
+	// The destination does not run this round; the next barrier adds a
+	// second round of messages behind the first. A source's run starts
+	// by emptying the outbox the barrier read.
+	r.active = []int{0}
+	r.runCell(0)
+	r.sims[0].outbox = append(r.sims[0].outbox,
+		shardMsg{at: 5, f: frame{id: 6}, cell: dst},
+		shardMsg{at: 3, f: frame{id: 7}, cell: dst},
+	)
+	r.deliver()
+	if r.sims[dst].q.len() != 0 {
+		t.Error("the barrier injected into the destination; its own run injects")
+	}
+	if k := r.key[dst]; k != 3 {
 		t.Errorf("destination's next-event key = %v, want 3", k)
 	}
-	want := []popped{{3, 4}, {5, 1}, {5, 2}, {5, 3}, {5, 5}}
+	// The destination's run injects its inbox first; a limit of 0 stops
+	// it before any event pops.
+	r.runCell(dst)
+	if len(r.sims[dst].inbox) != 0 {
+		t.Error("the destination's run left its inbox full")
+	}
+	if k := r.key[dst]; k != 3 {
+		t.Errorf("destination published next-event time %v, want 3", k)
+	}
+	want := []popped{{3, 7}, {4, 4}, {5, 1}, {5, 2}, {5, 3}, {5, 5}, {5, 6}}
 	got := popAll(r.sims[dst])
 	if len(got) != len(want) {
 		t.Fatalf("destination popped %+v, want %+v", got, want)
@@ -152,9 +180,11 @@ func TestBarrierDeliversEqualTimesInSourceOrder(t *testing.T) {
 
 // TestActiveSetNeverSkips pins the conservative scheduler's safety
 // complement: after every round, no cell still holds an event inside
-// the run bound the round proved safe for it. A violation means the
-// active-set selection skipped a runnable cell — the failure mode that
-// would silently desynchronize the shards.
+// the run bound the round proved safe for it, counting the messages
+// waiting in its inbox as its events. A violation means the active-set
+// selection skipped a runnable cell — the failure mode that would
+// silently desynchronize the shards. Each cell's key must be its next
+// event.
 func TestActiveSetNeverSkips(t *testing.T) {
 	g, err := topo.Walker(4, 8, 5, 2, 250*time.Millisecond)
 	if err != nil {
@@ -180,6 +210,12 @@ func TestActiveSetNeverSkips(t *testing.T) {
 		rounds++
 		for i, s := range r.sims {
 			nx := s.nextAt()
+			for _, m := range s.inbox {
+				nx = math.Min(nx, m.at)
+			}
+			if r.key[i] != nx {
+				t.Fatalf("round %d: cell %d keyed %v, next event %v", r.round, i, r.key[i], nx)
+			}
 			if r.lstamp[i] == r.round {
 				// Settled below the horizon: the cell must have consumed
 				// everything below its limit (or the whole run, when the

@@ -138,71 +138,157 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardPoolDrawsFromParBudget: the shard runner's pool workers are
+// TestShardPoolDrawsFromParBudget: the shard runner's pool helpers are
 // par helpers. A sharded run inside a par item while every budget slot
-// is busy starts no pool goroutine and runs its cells inline; with the
-// slot free the pool takes it and gives it back when the run finishes.
-// Both runs return the shards=1 Stats.
+// is busy starts no helper and runs its cells inline; with slots free
+// the pool takes them and, once the run finishes, gives them back and
+// leaves no goroutine behind, at 2 shards and at 8. Every run returns
+// the shards=1 Stats.
 func TestShardPoolDrawsFromParBudget(t *testing.T) {
-	prev := par.SetDefaultWorkers(2) // one helper slot
-	t.Cleanup(func() { par.SetDefaultWorkers(prev) })
-	g, err := topo.Walker(4, 8, 5, 2, 250*time.Millisecond)
+	prevW := par.SetDefaultWorkers(2) // one helper slot
+	prevP := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() {
+		par.SetDefaultWorkers(prevW)
+		runtime.GOMAXPROCS(prevP)
+	})
+	g, err := topo.Walker(8, 8, 5, 2, 250*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := TopologyConfig(workload.Suite[0], g)
-	c.Duration = 10 * time.Minute
+	c.Duration = 5 * time.Minute
 	c.Shards = 1
 	ref, err := Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Shards = 2
 	plans, err := compile(c.Topology)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// run executes the sharded run and reports how many pool workers
-	// it started.
-	run := func() (Stats, int) {
-		r, err := newShardRunner(c, plans, nil)
+	// run executes the run at the given shard count and reports how many
+	// pool helpers it started.
+	run := func(shards int) (Stats, int) {
+		cc := c
+		cc.Shards = shards
+		r, err := newShardRunner(cc, plans, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r.window() {
 		}
-		workers := len(r.wake)
-		return r.finish(), workers
+		helpers := r.helpers
+		return r.finish(), helpers
 	}
 
 	if held := par.AcquireHelpers(1); held != 1 {
 		t.Fatalf("took %d of the budget's one helper slot", held)
 	}
 	var busy Stats
-	var workers int
-	par.ForN(1, func(int) { busy, workers = run() })
+	var helpers int
+	par.ForN(1, func(int) { busy, helpers = run(2) })
 	par.ReleaseHelpers(1)
-	if workers != 0 {
-		t.Errorf("with every slot busy the pool started %d workers, want 0", workers)
+	if helpers != 0 {
+		t.Errorf("with every slot busy the pool started %d helpers, want 0", helpers)
 	}
 	if busy != ref {
 		t.Errorf("inline sharded stats differ:\n ref %+v\n got %+v", ref, busy)
 	}
 
-	if runtime.GOMAXPROCS(0) < 2 {
-		return // one core caps the pool at the caller alone
+	for _, shards := range []int{2, 8} {
+		// GOMAXPROCS caps the runners, so it is raised with the budget:
+		// the hand-off must hold with more runners than cores too.
+		runtime.GOMAXPROCS(shards)
+		par.SetDefaultWorkers(shards)
+		before := runtime.NumGoroutine()
+		free, helpers := run(shards)
+		if helpers != shards-1 {
+			t.Errorf("shards=%d: the pool started %d helpers, want %d", shards, helpers, shards-1)
+		}
+		if free != ref {
+			t.Errorf("shards=%d: pooled sharded stats differ:\n ref %+v\n got %+v", shards, ref, free)
+		}
+		if got := par.AcquireHelpers(shards - 1); got != shards-1 {
+			t.Errorf("shards=%d: the finished run kept %d helper slots", shards, shards-1-got)
+		} else {
+			par.ReleaseHelpers(got)
+		}
+		// A stopped helper has left its loop; the runtime reaps its
+		// goroutine a moment later.
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("shards=%d: %d goroutines after the run, %d before", shards, runtime.NumGoroutine(), before)
+			}
+			runtime.Gosched()
+		}
 	}
-	free, workers := run()
-	if workers != 1 {
-		t.Errorf("with the slot free the pool started %d workers, want 1", workers)
+}
+
+// TestShardPoolWakesParkedHelper: a helper whose wait for the next
+// round outlasts the spin bound parks, and the next handed-off round
+// wakes it to run its share.
+func TestShardPoolWakesParkedHelper(t *testing.T) {
+	prevW := par.SetDefaultWorkers(2)
+	prevP := runtime.GOMAXPROCS(2)
+	t.Cleanup(func() {
+		par.SetDefaultWorkers(prevW)
+		runtime.GOMAXPROCS(prevP)
+	})
+	g, err := topo.Walker(4, 8, 5, 2, 250*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if free != ref {
-		t.Errorf("pooled sharded stats differ:\n ref %+v\n got %+v", ref, free)
+	c := TopologyConfig(workload.Suite[0], g)
+	c.Duration = 5 * time.Minute
+	c.Shards = 1
+	ref, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := par.AcquireHelpers(1); got != 1 {
-		t.Error("the finished run kept its helper slot")
-	} else {
-		par.ReleaseHelpers(1)
+	plans, err := compile(c.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Shards = 2
+	r, err := newShardRunner(c, plans, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !r.started {
+		if !r.window() {
+			t.Fatal("run ended before its pool started")
+		}
+	}
+	if r.helpers != 1 {
+		t.Fatalf("pool started %d helpers, want 1", r.helpers)
+	}
+	handedOff := false
+	for !handedOff {
+		deadline := time.Now().Add(10 * time.Second)
+		for !r.pool.park[0].asleep.Load() {
+			if time.Now().After(deadline) {
+				t.Fatal("idle helper never parked")
+			}
+			runtime.Gosched()
+		}
+		epoch, done := r.pool.epoch.Load(), r.pool.done.Load()
+		if !r.window() {
+			t.Fatal("run ended before a round was handed to the parked helper")
+		}
+		if handedOff = r.pool.epoch.Load() > epoch; handedOff {
+			if n := len(r.active); n < 2 {
+				t.Errorf("handed off a round of %d cells", n)
+			}
+			if got := r.pool.done.Load(); got != done+1 {
+				t.Errorf("helper finished %d shares in the round, want 1", got-done)
+			}
+		}
+	}
+	for r.window() {
+	}
+	if got := r.finish(); got != ref {
+		t.Errorf("stats differ:\n ref %+v\n got %+v", ref, got)
 	}
 }
 

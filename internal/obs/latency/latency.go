@@ -118,20 +118,20 @@ func DecomposeAll(rec *trace.Recorder) []Frame {
 	}
 	out = append(out, decompose("", rec.Events())...)
 	for _, name := range rec.Scopes() {
-		out = append(out, DecomposeAllScoped(rec.Child(name), name)...)
+		out = append(out, decomposeAllScoped(rec.Child(name), name)...)
 	}
 	return out
 }
 
-// DecomposeAllScoped is DecomposeAll with scope names prefixed by the
+// decomposeAllScoped is DecomposeAll with scope names prefixed by the
 // given path — the recursion behind child scopes.
-func DecomposeAllScoped(rec *trace.Recorder, prefix string) []Frame {
+func decomposeAllScoped(rec *trace.Recorder, prefix string) []Frame {
 	if rec == nil {
 		return nil
 	}
 	out := decompose(prefix, rec.Events())
 	for _, name := range rec.Scopes() {
-		out = append(out, DecomposeAllScoped(rec.Child(name), prefix+"/"+name)...)
+		out = append(out, decomposeAllScoped(rec.Child(name), prefix+"/"+name)...)
 	}
 	return out
 }
