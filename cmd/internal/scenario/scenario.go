@@ -15,7 +15,9 @@
 // the one-cell star, simulated in parallel cell shards with
 // conservative cross-cell synchronization):
 //
-//	-planes n        orbital planes; > 0 runs the Walker topology
+//	-planes n        orbital planes; > 0 runs the Walker topology, whose
+//	                 capture satellites replace -satellites (setting
+//	                 both is an error)
 //	-sats-per-plane n  capture satellites per plane (default 16)
 //	-sudc-every k    SµDC in every k-th plane; the rest relay around the
 //	                 inter-plane ring (default 1)
@@ -112,11 +114,13 @@ type Flags struct {
 	EdgeServers   int
 	LatencyWeight float64
 	PlaceCompress string
+
+	fs *flag.FlagSet // the set Register defined the flags on
 }
 
 // Register defines the scenario flags on fs.
 func Register(fs *flag.FlagSet) *Flags {
-	f := &Flags{Cal: degrade.XingCOTS}
+	f := &Flags{Cal: degrade.XingCOTS, fs: fs}
 	fs.StringVar(&f.App, "app", "Flood Detection", "Table III application")
 	fs.IntVar(&f.Satellites, "satellites", 64, "EO constellation size")
 	fs.Float64Var(&f.PowerKW, "power", 4, "SµDC compute power in kW")
@@ -182,6 +186,10 @@ func (f *Flags) Build() (*Scenario, error) {
 	if f.DownlinkGbps < 0 {
 		return nil, fmt.Errorf("negative downlink rate %v Gbit/s", f.DownlinkGbps)
 	}
+	if f.Planes > 0 && f.set("satellites") {
+		return nil, fmt.Errorf("-satellites sizes only the star; a -planes run has -planes × -sats-per-plane = %d capture satellites",
+			f.Planes*f.SatsPerPlane)
+	}
 	sized := max(int(f.PowerKW*1000/float64(app.GPUPower)), 1)
 	sc := &Scenario{App: app, Workers: sized + f.Spares}
 
@@ -233,6 +241,13 @@ func (f *Flags) Build() (*Scenario, error) {
 		}
 	}
 	return sc, nil
+}
+
+// set reports whether the command line set the named flag.
+func (f *Flags) set(name string) bool {
+	found := false
+	f.fs.Visit(func(fl *flag.Flag) { found = found || fl.Name == name })
+	return found
 }
 
 // placement prices the four tiers for the scenario and applies the

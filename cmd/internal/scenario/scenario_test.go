@@ -2,7 +2,7 @@ package scenario
 
 import (
 	"flag"
-	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -21,20 +21,31 @@ func build(t *testing.T, args ...string) *Scenario {
 	return sc
 }
 
-// TestPlanesIgnoreSatellites: a -planes run simulates the graph's
-// capture satellites whatever -satellites says, so the placement tiers
-// must be priced for the graph's stream too.
-func TestPlanesIgnoreSatellites(t *testing.T) {
-	planes := func(sats string) []string {
-		return []string{"-planes", "4", "-sats-per-plane", "16", "-placement", "queue",
-			"-hours", "0.5", "-satellites", sats}
+// TestPlanesRejectSatellites: a -planes run simulates the graph's
+// capture satellites, so an explicit -satellites beside it is an error
+// naming both flags — at the default value too — and a -planes run
+// without it still builds.
+func TestPlanesRejectSatellites(t *testing.T) {
+	planes := []string{"-planes", "4", "-sats-per-plane", "16", "-placement", "queue", "-hours", "0.5"}
+	for _, sats := range []string{"16", "64"} {
+		fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
+		f := Register(fs)
+		if err := fs.Parse(append(planes, "-satellites", sats)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := f.Build()
+		if err == nil || !strings.Contains(err.Error(), "-satellites") || !strings.Contains(err.Error(), "-planes") {
+			t.Errorf("-planes with -satellites %s: Build error %v, want one naming both flags", sats, err)
+		}
 	}
-	a, b := build(t, planes("64")...), build(t, planes("16")...)
-	if a.Config.Placement == nil || b.Config.Placement == nil {
+	sc := build(t, planes...)
+	if sc.Config.Placement == nil {
 		t.Fatal("-placement built no placement config")
 	}
-	if !reflect.DeepEqual(a.Config, b.Config) {
-		t.Errorf("-satellites changed a -planes run:\nplacement at 64: %+v\nplacement at 16: %+v",
-			*a.Config.Placement, *b.Config.Placement)
+	if got := sc.Config.Topology.Sats(); got != 64 {
+		t.Errorf("-planes 4 -sats-per-plane 16 simulates %d capture satellites, want 64", got)
+	}
+	if build(t, "-satellites", "16").Config.Constellation.Satellites != 16 {
+		t.Error("-satellites without -planes no longer sizes the star")
 	}
 }

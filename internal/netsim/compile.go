@@ -155,7 +155,6 @@ const frameIDBits = 40
 // placement downlink.
 func (s *simulator) resetTopo(c Config, p *cellPlan, sched faults.Schedule, deg *degrade.Schedule, cell, cells int) {
 	s.resetCommon(c, p.workers)
-	s.mergeLat = cells > 1
 	s.setDegrade(deg)
 	s.need = p.workers
 	if cells == 1 && c.NeedWorkers > 0 {

@@ -18,7 +18,8 @@ func TestEventHeapMatchesSortedOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Coarse timestamps force plenty of at-ties so the seq tiebreak
 		// is actually exercised.
-		e := event{at: float64(rng.Intn(64)), seq: i + 1, kind: rng.Intn(10), who: i}
+		e := event{at: float64(rng.Intn(64)), seq: i + 1,
+			eventArgs: eventArgs{kind: int32(rng.Intn(10)), who: int32(i)}}
 		events = append(events, e)
 		h.push(e)
 	}
@@ -70,8 +71,8 @@ func TestEventHeapInterleavedAgainstReference(t *testing.T) {
 // reslice: pop must zero the vacated tail slot.
 func TestEventHeapPopClearsSlot(t *testing.T) {
 	var h eventHeap
-	h.push(event{at: 1, seq: 1, who: 42, gen: 7})
-	h.push(event{at: 2, seq: 2, who: 43, gen: 8})
+	h.push(event{at: 1, seq: 1, eventArgs: eventArgs{who: 42, gen: 7}})
+	h.push(event{at: 2, seq: 2, eventArgs: eventArgs{who: 43, gen: 8}})
 	h.pop()
 	if got := h.a[:2][1]; got != (event{}) {
 		t.Errorf("vacated slot not cleared after pop: %+v", got)
@@ -126,7 +127,7 @@ func BenchmarkEventHeap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seq++
-		h.push(event{at: now + delay[i&mask], seq: seq, kind: evISLDone})
+		h.push(event{at: now + delay[i&mask], seq: seq, eventArgs: eventArgs{kind: evISLDone}})
 		now = h.pop().at
 	}
 }

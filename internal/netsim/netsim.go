@@ -339,7 +339,10 @@ type Stats struct {
 	InsightsDownlinked int
 	// Backlog is frames still in flight or queued at the end of the run.
 	Backlog int
-	// MeanLatency and P95Latency are generation→processing-complete times.
+	// MeanLatency and P95Latency are generation→processing-complete
+	// times over the processed frames. MeanLatency is the correctly
+	// rounded mean, independent of sample order; P95Latency is element
+	// ⌊0.95·n⌋ of the sorted latencies.
 	MeanLatency time.Duration
 	P95Latency  time.Duration
 	// ISLUtilization and WorkerUtilization are busy-time fractions.
@@ -397,7 +400,10 @@ type Stats struct {
 
 	// TierFrames counts completed frames per placement tier, and
 	// TierMeanLatency / TierP99Latency / TierDollars break end-to-end
-	// latency and amortized spend down by tier. PlacedMeanCost is the
+	// latency and amortized spend down by tier. TierMeanLatency is the
+	// correctly rounded mean, independent of sample order, and
+	// TierP99Latency interpolates between order statistics as
+	// latency.Quantile does. PlacedMeanCost is the
 	// realized mean per-frame cost (tier dollars plus latency-weighted
 	// end-to-end latency) and OracleMeanCost the analytic per-frame
 	// floor min over tiers of the load-free static cost — no realized
@@ -461,23 +467,43 @@ const (
 	evCloudDone    // the cloud finished a frame
 )
 
+// event is one scheduled simulation event. Like frame it is
+// register-sized: at most 32 bytes and 4 fields at every struct level,
+// the limit under which the compiler keeps a struct in registers and
+// stores it field by field (TestHotValuesFitRegisters).
 type event struct {
-	at   float64 // seconds
-	kind int
-	who  int     // satellite, worker, edge, SµDC, or arrival-slot index (by kind)
-	gen  int     // invalidation generation for evISLDone / evBatchDone
-	dur  float64 // payload: recovery or outage duration, seconds
-	seq  int     // heap tiebreak for determinism
+	at  float64 // seconds
+	seq int     // heap tiebreak for determinism
+	eventArgs
 }
 
-// frame is 32 bytes: a saturated downlink or ISL queue holds tens of
-// thousands of them in one ring, so the field widths set the arena.
+// eventArgs says what an event acts on.
+type eventArgs struct {
+	kind int32
+	// who is a satellite, worker, edge, SµDC, arrival-slot or degrade
+	// phase index by kind; for evSEFIStart and evOutageStart it indexes
+	// the run's fault schedule (simulator.sched).
+	who int32
+	// gen is the invalidation generation of evISLDone and evBatchDone.
+	// Generations are only compared for equality with the live counter,
+	// so its wrap-around cannot alias a pending event.
+	gen int32
+}
+
+// frame is 32 bytes in 4 fields: a saturated downlink or ISL queue
+// holds tens of thousands of them in one ring, so the field widths set
+// the arena, and the field count keeps it in registers (see event).
 type frame struct {
 	id    int64   // stable 1-based frame ID, assigned in capture order
 	born  float64 // generation time, s
 	value float64 // analyzer value draw in [0,1): the top InsightFraction quantile is an insight
-	tries int32   // failed ISL transmission attempts (2^31 at the 60 s backoff cap is 4,000 simulated years)
-	tier  int8    // placement.Tier the frame was routed to (placement runs only)
+	frameRoute
+}
+
+// frameRoute is a frame's transport state.
+type frameRoute struct {
+	tries int32 // failed ISL transmission attempts (2^31 at the 60 s backoff cap is 4,000 simulated years)
+	tier  int8  // placement.Tier the frame was routed to (placement runs only)
 }
 
 // workerState is one GPU node's health and service state.
@@ -486,7 +512,7 @@ type workerState struct {
 	hung    bool
 	busy    bool
 	browned bool    // parked by an eclipse power brownout
-	gen     int     // invalidates stale evBatchDone events
+	gen     int32   // invalidates stale evBatchDone events
 	doneAt  float64 // completion time of the batch in service
 	batch   []frame // in-flight frames, for re-dispatch on death
 }

@@ -21,9 +21,7 @@ package netsim
 
 import (
 	"math"
-	"time"
 
-	"sudc/internal/obs/latency"
 	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
 	"sudc/internal/placement"
@@ -106,7 +104,7 @@ func (s *simulator) serve(t placement.Tier, f frame) {
 	if s.tr != nil {
 		s.tr.Record(trace.Event{T: s.now, Kind: trace.Dispatched, Frame: f.id, Node: -1})
 	}
-	s.push(event{at: s.now + s.pmodel.Tiers[t].ServiceTime, kind: tierDone[t], who: int(t)})
+	s.push(s.now+s.pmodel.Tiers[t].ServiceTime, tierDone[t], int(t), 0)
 }
 
 // served completes tier t's oldest in-service frame and starts the
@@ -132,7 +130,7 @@ func (s *simulator) attemptDownlink() {
 		s.tr.Record(trace.Event{T: s.now, Kind: trace.ISLSendStart,
 			Frame: s.dlQueue.front().id, Node: -1, Edge: "downlink"})
 	}
-	s.push(event{at: s.now + s.dlSendTime, kind: evDownlinkDone})
+	s.push(s.now+s.dlSendTime, evDownlinkDone, 0, 0)
 }
 
 // downlinkDone lands the transmitted frame on the ground: it continues
@@ -150,10 +148,10 @@ func (s *simulator) downlinkDone() {
 	}
 	if placement.Tier(f.tier) == placement.TierCloud {
 		s.cloudWait.pushBack(f)
-		s.push(event{at: s.now + s.accessDelay + s.wanDelay, kind: evCloudArrive})
+		s.push(s.now+s.accessDelay+s.wanDelay, evCloudArrive, 0, 0)
 	} else {
 		s.edgeWait.pushBack(f)
-		s.push(event{at: s.now + s.accessDelay, kind: evEdgeArrive})
+		s.push(s.now+s.accessDelay, evEdgeArrive, 0, 0)
 	}
 	s.attemptDownlink()
 }
@@ -173,32 +171,20 @@ func (s *simulator) accountTier(t placement.Tier, lat float64) {
 	s.win.Cost(d + s.pmodel.LatencyWeight*lat)
 }
 
-// finishPlacement assembles the per-tier Stats at the end of a run.
+// finishPlacement assembles the per-tier Stats at the end of a run,
+// apart from the tier latencies (summarizeLatency).
 func (s *simulator) finishPlacement(stats *Stats) {
 	stats.TierFrames = s.tierFrames
 	stats.TierDollars = s.tierDollars
-	summarizeTiers(stats, &s.tierLats, s.placeCostSum)
+	stats.PlacedMeanCost = placedMeanCost(s.placeCostSum, stats.FramesProcessed)
 	stats.OracleMeanCost = s.pmodel.OracleCost()
 }
 
-// summarizeTiers fills the per-tier latency mean and p99 from each
-// tier's latency samples — sorted in place, then summed in sorted
-// order — and the realized mean per-frame cost from its sum over
-// stats.FramesProcessed frames.
-func summarizeTiers(stats *Stats, lats *[placement.NumTiers][]float64, costSum float64) {
-	for t, v := range lats {
-		if len(v) == 0 {
-			continue
-		}
-		latency.Sort(v)
-		var sum float64
-		for _, l := range v {
-			sum += l
-		}
-		stats.TierMeanLatency[t] = time.Duration(sum / float64(len(v)) * float64(time.Second))
-		stats.TierP99Latency[t] = time.Duration(latency.Quantile(v, 0.99) * float64(time.Second))
+// placedMeanCost is the realized mean per-frame cost: the summed
+// per-frame cost over the processed frames.
+func placedMeanCost(costSum float64, processed int) float64 {
+	if processed == 0 {
+		return 0
 	}
-	if stats.FramesProcessed > 0 {
-		stats.PlacedMeanCost = costSum / float64(stats.FramesProcessed)
-	}
+	return costSum / float64(processed)
 }

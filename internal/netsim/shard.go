@@ -653,15 +653,16 @@ func (r *shardRunner) flushWindows() {
 // per-cell Stats: frame counters sum, availability-style fractions
 // average weighted by worker count (so worker-less relay cells drop
 // out), ISL utilization averages weighted by link count, and the
-// latency distribution is recomputed over the merged samples.
+// latency statistics summarize the merged samples.
 func (r *shardRunner) finish() Stats {
 	r.stopPool()
 	if len(r.sims) == 1 {
 		// Single cell: the cell's stats ARE the run's stats. Bypassing
 		// the weighted merge keeps them exact (x*w/w is not an exact
-		// float identity).
+		// float identity). The latency summary is the merge's call.
 		s := r.sims[0]
 		cs := s.finish()
+		summarizeLatency(&cs, s.latencies, &s.tierLats)
 		s.closeWindows(r.winM)
 		putSim(s)
 		r.sealWindows()
@@ -722,8 +723,7 @@ func (r *shardRunner) finish() Stats {
 		totalLinks += r.linksN[i]
 		allLat = append(allLat, s.latencies...)
 		if s.place != nil {
-			// The per-tier latency distributions are recomputed over the
-			// merged samples, exactly like the global distribution.
+			// The per-tier latency samples merge like the global ones.
 			for t := range s.tierLats {
 				out.TierFrames[t] += cs.TierFrames[t]
 				out.TierDollars[t] += cs.TierDollars[t]
@@ -750,20 +750,9 @@ func (r *shardRunner) finish() Stats {
 	if totalLinks > 0 {
 		out.ISLUtilization = units.Clamp(islW/float64(totalLinks), 0, 1)
 	}
-	if len(allLat) > 0 {
-		// The merged samples are concatenated in cell order — a pure
-		// function of the config — so the mean sum is deterministic, and
-		// the p95 is the same order statistic a full sort would index.
-		var sum float64
-		for _, l := range allLat {
-			sum += l
-		}
-		out.MeanLatency = time.Duration(sum / float64(len(allLat)) * float64(time.Second))
-		p95 := selectKth(allLat, int(float64(len(allLat))*0.95))
-		out.P95Latency = time.Duration(p95 * float64(time.Second))
-	}
+	summarizeLatency(&out, allLat, tierLat)
 	if r.c.Placement != nil {
-		summarizeTiers(&out, tierLat, placeCost)
+		out.PlacedMeanCost = placedMeanCost(placeCost, out.FramesProcessed)
 	}
 	out.KeptUp = out.Backlog <= 2*r.c.BatchSize*totalWorkers
 	out.Sync = r.syncStats
@@ -784,51 +773,6 @@ func (r *shardRunner) sealWindows() {
 	if r.winM != nil {
 		r.winM.Flush(math.Inf(1))
 	}
-}
-
-// selectKth returns the k-th smallest element (0-indexed) of a,
-// partially partitioning a in place — the merged-latency p95 without
-// the O(n log n) full sort. Median-of-three pivoting with a Hoare
-// partition; the selected order statistic is identical to sorting and
-// indexing, so the result is deterministic regardless of the
-// partition path.
-func selectKth(a []float64, k int) float64 {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		p := a[mid]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			return a[k]
-		}
-	}
-	return a[k]
 }
 
 // runTopology executes a configuration over its compiled graph.

@@ -10,7 +10,6 @@ import (
 
 	"sudc/internal/degrade"
 	"sudc/internal/faults"
-	"sudc/internal/obs/latency"
 	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
 	"sudc/internal/par"
@@ -66,7 +65,7 @@ type linkState struct {
 	flight     frameDeque // intra-cell frames in propagation (delay > 0)
 	sending    bool
 	down       bool
-	gen        int // invalidates stale evISLDone events
+	gen        int32 // invalidates stale evISLDone events
 	sendStart  float64
 	retryArmed bool
 	busySum    float64
@@ -139,9 +138,10 @@ type simulator struct {
 	// the cell seed on every reset instead of allocating its ~5 KB state.
 	ownRand *rand.Rand
 
-	q   eventHeap
-	fq  captureRing // per-satellite capture timers (see captureRing)
-	seq int
+	q     eventHeap
+	fq    captureRing // per-satellite capture timers (see captureRing)
+	seq   int
+	sched faults.Schedule // the run's faults; SEFI and outage start events index it
 
 	// Compiled topology. The star compiles to one source group, one
 	// link, and one SµDC.
@@ -170,13 +170,9 @@ type simulator struct {
 	latencies    []float64
 	now          float64
 
-	rec *recorder
-	tr  *trace.Recorder
-	// mergeLat marks a multi-cell run: the shard runner recomputes the
-	// latency distribution over the merged samples, so finish() skips
-	// the per-cell sort (the Mean/P95 of one cell are never published).
-	mergeLat bool
-	frameID  int64
+	rec     *recorder
+	tr      *trace.Recorder
+	frameID int64
 
 	// Placement engine (place == nil when the run has no placement;
 	// every hot-path hook then reduces to one nil check). All service
@@ -294,6 +290,7 @@ func putSim(s *simulator) {
 	s.place = nil
 	s.win = nil
 	s.winM = nil
+	s.sched = faults.Schedule{}
 	simPool.put(s, s.arenaBytes())
 }
 
@@ -486,21 +483,24 @@ func (s *simulator) seedEvents(sched faults.Schedule) {
 	s.fq.sort()
 	for w, death := range sched.Deaths {
 		if death <= s.horizon {
-			s.push(event{at: death, kind: evWorkerDeath, who: w})
+			s.push(death, evWorkerDeath, w, 0)
 		}
 	}
-	for _, hg := range sched.Hangs {
-		s.push(event{at: hg.At, kind: evSEFIStart, who: hg.Node, dur: hg.Recovery})
+	// A SEFI or outage start carries its index into the schedule, which
+	// the simulator keeps until putSim.
+	s.sched = sched
+	for i, hg := range sched.Hangs {
+		s.push(hg.At, evSEFIStart, i, 0)
 	}
-	for _, o := range sched.Outages {
-		s.push(event{at: o.Start, kind: evOutageStart, who: o.Edge, dur: o.Duration})
+	for i, o := range sched.Outages {
+		s.push(o.Start, evOutageStart, i, 0)
 	}
 	// Degradation phase transitions go last so degradation-free runs keep
 	// their exact pre-degradation event sequence numbers. Phase 0 is
 	// applied directly by reset, not via an event.
 	if s.deg != nil {
 		for i := 1; i < len(s.deg.Phases); i++ {
-			s.push(event{at: s.deg.Phases[i].Start, kind: evPhase, who: i})
+			s.push(s.deg.Phases[i].Start, evPhase, i, 0)
 		}
 	}
 }
@@ -524,10 +524,12 @@ func (s *simulator) degPhases() int {
 	return len(s.deg.Phases)
 }
 
-func (s *simulator) push(e event) {
+// push schedules an event of the given kind on who (see eventArgs),
+// drawing the next global sequence number.
+func (s *simulator) push(at float64, kind, who int, gen int32) {
 	s.seq++
-	e.seq = s.seq
-	s.q.push(e)
+	s.q.push(event{at: at, seq: s.seq,
+		eventArgs: eventArgs{kind: int32(kind), who: int32(who), gen: gen}})
 }
 
 // pushFrame schedules a satellite capture, drawing the next global
@@ -581,7 +583,7 @@ func (s *simulator) inject(m shardMsg) {
 		slot = len(s.arrivals)
 		s.arrivals = append(s.arrivals, m)
 	}
-	s.push(event{at: m.at, kind: evArriveMsg, who: slot})
+	s.push(m.at, evArriveMsg, slot, 0)
 }
 
 // getBatch takes a frame slice from the free-list (or allocates one
@@ -605,7 +607,7 @@ func (s *simulator) putBatch(b []frame) {
 // advance moves the clock to the time t of the next event of the given
 // kind — the shared head of apply and applyFrame: every time integral
 // accrues up to t, and the recorder counts the event.
-func (s *simulator) advance(t float64, kind int) {
+func (s *simulator) advance(t float64, kind int32) {
 	s.now = t
 	s.accrue(t)
 	if s.rec != nil {
@@ -760,7 +762,7 @@ func (s *simulator) failHead(ei int) {
 		s.tr.Record(trace.Event{T: s.now, Kind: trace.Retry, Frame: f.id,
 			Node: -1, Attempt: tries, Backoff: delay, Cause: l.outageName, Edge: l.label})
 	}
-	s.push(event{at: s.now + delay, kind: evISLRetry, who: ei})
+	s.push(s.now+delay, evISLRetry, ei, 0)
 }
 
 // attemptISL starts link ei's head-frame transfer, or fails it into
@@ -779,7 +781,7 @@ func (s *simulator) attemptISL(ei int) {
 			s.tr.Record(trace.Event{T: s.now, Kind: trace.ISLSendStart,
 				Frame: l.queue.front().id, Node: -1, Edge: l.label})
 		}
-		s.push(event{at: s.now + l.sendTime, kind: evISLDone, who: ei, gen: l.gen})
+		s.push(s.now+l.sendTime, evISLDone, ei, l.gen)
 		return
 	}
 }
@@ -866,11 +868,11 @@ func (s *simulator) dispatch(si int, force bool) {
 			}
 			s.tr.Record(trace.Event{T: s.now, Kind: trace.ComputeStart, Node: wi, N: n})
 		}
-		s.push(event{at: w.doneAt, kind: evBatchDone, who: wi, gen: w.gen})
+		s.push(w.doneAt, evBatchDone, wi, w.gen)
 	}
 	if d.input.len() > 0 && !d.timeoutArmed {
 		d.timeoutArmed = true
-		s.push(event{at: s.now + s.batchTimeout, kind: evBatchingOut, who: si})
+		s.push(s.now+s.batchTimeout, evBatchingOut, si, 0)
 	}
 }
 
@@ -1063,9 +1065,10 @@ func (s *simulator) applyFrame() {
 // apply advances the simulation by one event.
 func (s *simulator) apply(e event) {
 	s.advance(e.at, e.kind)
+	who := int(e.who)
 	switch e.kind {
 	case evISLDone:
-		ei := e.who
+		ei := who
 		l := &s.links[ei]
 		if e.gen != l.gen || !l.sending {
 			break // transfer aborted by an outage
@@ -1095,7 +1098,7 @@ func (s *simulator) apply(e event) {
 			// the frame arrives delay seconds later (per-edge constant
 			// delay keeps the flight deque FIFO-correct).
 			l.flight.pushBack(f)
-			s.push(event{at: s.now + l.delay, kind: evArrive, who: ei})
+			s.push(s.now+l.delay, evArrive, ei, 0)
 			s.attemptISL(ei)
 		case l.dest >= 0:
 			// Zero-delay relay hop onto the next edge.
@@ -1113,12 +1116,12 @@ func (s *simulator) apply(e event) {
 		}
 
 	case evArrive:
-		l := &s.links[e.who]
+		l := &s.links[who]
 		s.deliver(l.dest, l.flight.popFront())
 
 	case evArriveMsg:
-		m := s.arrivals[e.who]
-		s.freeSlots = append(s.freeSlots, e.who)
+		m := s.arrivals[who]
+		s.freeSlots = append(s.freeSlots, who)
 		s.crossRecv++
 		s.stats.CrossShardFrames++
 		if s.place != nil {
@@ -1127,12 +1130,13 @@ func (s *simulator) apply(e event) {
 		s.deliver(m.target, m.f)
 
 	case evISLRetry:
-		l := &s.links[e.who]
+		l := &s.links[who]
 		l.retryArmed = false
-		s.attemptISL(e.who)
+		s.attemptISL(who)
 
 	case evOutageStart:
-		ei := e.who
+		o := &s.sched.Outages[who]
+		ei := o.Edge
 		l := &s.links[ei]
 		if !l.down {
 			s.downLinks++
@@ -1147,13 +1151,13 @@ func (s *simulator) apply(e event) {
 				l.outageName = fmt.Sprintf("isl-outage#%d@%s", l.outageIdx, l.label)
 			}
 			s.tr.Record(trace.Event{T: s.now, Kind: trace.OutageStart,
-				Node: -1, Dur: e.dur, Cause: l.outageName, Edge: l.label})
+				Node: -1, Dur: o.Duration, Cause: l.outageName, Edge: l.label})
 		}
-		end := s.now + e.dur
+		end := s.now + o.Duration
 		if clip := math.Min(end, s.horizon); clip > s.now {
 			l.downSum += clip - s.now
 		}
-		s.push(event{at: end, kind: evOutageEnd, who: ei})
+		s.push(end, evOutageEnd, ei, 0)
 		if l.sending {
 			// Abort the in-flight transfer; the head frame retries.
 			l.sending = false
@@ -1168,7 +1172,7 @@ func (s *simulator) apply(e event) {
 		}
 
 	case evOutageEnd:
-		l := &s.links[e.who]
+		l := &s.links[who]
 		if l.down {
 			s.downLinks--
 		}
@@ -1177,76 +1181,77 @@ func (s *simulator) apply(e event) {
 			s.tr.Record(trace.Event{T: s.now, Kind: trace.OutageEnd,
 				Node: -1, Cause: l.outageName, Edge: l.label})
 		}
-		s.attemptISL(e.who)
+		s.attemptISL(who)
 
 	case evWorkerDeath:
-		w := &s.workers[e.who]
+		w := &s.workers[who]
 		if w.dead {
 			break
 		}
 		w.dead = true
 		if s.tr != nil {
-			s.tr.Record(trace.Event{T: s.now, Kind: trace.NodeDeath, Node: e.who})
+			s.tr.Record(trace.Event{T: s.now, Kind: trace.NodeDeath, Node: who})
 		}
-		si := s.workerSudc[e.who]
+		si := s.workerSudc[who]
 		cause := ""
 		if s.tr != nil && w.busy {
-			cause = fmt.Sprintf("node-death#%d", e.who)
+			cause = fmt.Sprintf("node-death#%d", who)
 		}
 		s.strand(w, si, cause)
 		s.recount()
 		s.dispatch(si, false)
 
 	case evSEFIStart:
-		w := &s.workers[e.who]
+		hg := &s.sched.Hangs[who]
+		w := &s.workers[hg.Node]
 		if w.dead || w.hung {
 			break
 		}
 		w.hung = true
 		if s.tr != nil {
-			s.tr.Record(trace.Event{T: s.now, Kind: trace.SEFIStart, Node: e.who, Dur: e.dur})
+			s.tr.Record(trace.Event{T: s.now, Kind: trace.SEFIStart, Node: hg.Node, Dur: hg.Recovery})
 		}
 		if w.busy {
 			// The watchdog reboots the node and the batch resumes:
 			// completion slips by the recovery time.
 			w.gen++
-			w.doneAt += e.dur
-			s.push(event{at: w.doneAt, kind: evBatchDone, who: e.who, gen: w.gen})
+			w.doneAt += hg.Recovery
+			s.push(w.doneAt, evBatchDone, hg.Node, w.gen)
 		}
-		s.push(event{at: s.now + e.dur, kind: evSEFIEnd, who: e.who})
+		s.push(s.now+hg.Recovery, evSEFIEnd, hg.Node, 0)
 		s.recount()
 
 	case evSEFIEnd:
-		w := &s.workers[e.who]
+		w := &s.workers[who]
 		if w.dead || !w.hung {
 			break
 		}
 		w.hung = false
 		if s.tr != nil {
-			s.tr.Record(trace.Event{T: s.now, Kind: trace.SEFIEnd, Node: e.who})
+			s.tr.Record(trace.Event{T: s.now, Kind: trace.SEFIEnd, Node: who})
 		}
 		s.recount()
-		s.dispatch(s.workerSudc[e.who], false)
+		s.dispatch(s.workerSudc[who], false)
 
 	case evBatchDone:
-		w := &s.workers[e.who]
+		w := &s.workers[who]
 		if w.dead || !w.busy || e.gen != w.gen {
 			break // stale: the worker died or the batch slipped
 		}
 		w.busy = false
 		if s.tr != nil {
 			s.tr.Record(trace.Event{T: s.now, Kind: trace.ComputeEnd,
-				Node: e.who, N: len(w.batch)})
+				Node: who, N: len(w.batch)})
 		}
 		for _, f := range w.batch {
-			s.complete(f, e.who)
+			s.complete(f, who)
 		}
 		s.putBatch(w.batch)
 		w.batch = nil
-		s.dispatch(s.workerSudc[e.who], false)
+		s.dispatch(s.workerSudc[who], false)
 
 	case evBatchingOut:
-		si := e.who
+		si := who
 		d := &s.sudcs[si]
 		if s.deferEclipse && d.input.len() > 0 && s.deg.Phases[s.degPhase].Eclipse {
 			if end := s.deg.End(s.degPhase); end < s.horizon {
@@ -1257,7 +1262,7 @@ func (s *simulator) apply(e event) {
 				// unparks the workers before this re-armed timeout fires.
 				s.stats.BatchesDeferred++
 				s.win.Count(window.CntDeferred, 1)
-				s.push(event{at: end, kind: evBatchingOut, who: si})
+				s.push(end, evBatchingOut, si, 0)
 				break
 			}
 		}
@@ -1265,7 +1270,7 @@ func (s *simulator) apply(e event) {
 		s.dispatch(si, true)
 
 	case evPhase:
-		s.applyPhase(e.who)
+		s.applyPhase(who)
 
 	case evDownlinkDone:
 		s.downlinkDone()
@@ -1277,26 +1282,19 @@ func (s *simulator) apply(e event) {
 		s.serve(placement.TierCloud, s.cloudWait.popFront())
 
 	case evOnboardDone, evEdgeDone, evCloudDone:
-		s.served(placement.Tier(e.who))
+		s.served(placement.Tier(who))
 	}
 }
 
 // finish closes every time integral at the horizon and assembles the
-// run's Stats.
+// cell's Stats, apart from the latency statistics: the shard runner
+// summarizes the run's latency samples once, over every cell
+// (summarizeLatency).
 func (s *simulator) finish() Stats {
 	s.accrue(s.horizon)
 
 	stats := s.stats
 	stats.Backlog = stats.FramesGenerated - stats.FramesProcessed - stats.FramesShed - stats.FramesLost
-	if len(s.latencies) > 0 && !s.mergeLat {
-		latency.Sort(s.latencies)
-		var sum float64
-		for _, l := range s.latencies {
-			sum += l
-		}
-		stats.MeanLatency = time.Duration(sum / float64(len(s.latencies)) * float64(time.Second))
-		stats.P95Latency = time.Duration(s.latencies[int(float64(len(s.latencies))*0.95)] * float64(time.Second))
-	}
 	var islBusy, islDown float64
 	for i := range s.links {
 		islBusy += s.links[i].busySum

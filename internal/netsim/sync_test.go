@@ -52,7 +52,7 @@ func popAll(s *simulator) []popped {
 // free number.
 func pushLocal(s *simulator, grid, k int) int {
 	for at := 0; at < grid; at++ {
-		s.push(event{at: float64(at), kind: evWorkerDeath, who: k})
+		s.push(float64(at), evWorkerDeath, k, 0)
 		s.pushFrame(float64(at), k+1)
 		k += 2
 	}

@@ -8,3 +8,7 @@ import "sudc/internal/obs/trace"
 func Decompose(events []trace.Event) []Frame {
 	return decompose("", events)
 }
+
+// Sort is the sort kernel behind Summarize, for the external tests and
+// benchmarks.
+func Sort(xs []float64) { sortFloats(xs) }

@@ -301,7 +301,7 @@ func Summarize(frames []Frame) []StageSummary {
 	out := make([]StageSummary, 0, NumStages+1)
 	for s := Stage(0); s <= NumStages; s++ {
 		v := samples[s]
-		Sort(v)
+		sortFloats(v)
 		sum := 0.0
 		for _, x := range v {
 			sum += x

@@ -6,7 +6,8 @@ import (
 	"sort"
 )
 
-// Sort sorts xs into ascending order in place, without allocating.
+// sortFloats sorts xs into ascending order in place, without
+// allocating.
 //
 // For input with no NaN the result equals sort.Float64s's byte for
 // byte, apart from the relative order of −0 and +0: a sorted sequence
@@ -24,7 +25,7 @@ import (
 // A level spreads at least 3 key bits, so the recursion is at most 22
 // levels deep; the count and cursor arrays are one fixed-size pair in
 // this frame, shared by every level.
-func Sort(xs []float64) {
+func sortFloats(xs []float64) {
 	lo, hi := ^uint64(0), uint64(0)
 	for _, x := range xs {
 		if x != x {
