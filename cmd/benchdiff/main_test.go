@@ -236,6 +236,8 @@ func TestLedgerRejects(t *testing.T) {
 		`[{"ns_per_op": 100, "threshold_pct": 10}]`,                               // no benchmark name
 		`{"benchmark": "BenchmarkX", "ns_per_op": 100}`,                           // a pre-ledger single-file baseline
 		`[{"benchmark": "BenchmarkX", "ns_per_op": 100, "threshold_pct": 10}] []`, // trailing data
+		`[{"benchmark": "BenchmarkX", "ns_per_op": 100, "threshold_pct": 10, "bytes_per_op": -1}]`,
+		`[{"benchmark": "BenchmarkX", "ns_per_op": 100, "threshold_pct": 10, "allocs_per_op": -1}]`,
 		`[]`, // gates nothing
 	} {
 		badPath := writeFile(t, dir, "bad.json", bad)
@@ -246,14 +248,123 @@ func TestLedgerRejects(t *testing.T) {
 }
 
 func TestMedianOverRepeatedRuns(t *testing.T) {
-	samples, err := parseBench(strings.NewReader(oldBench))
+	all, err := parseBench(strings.NewReader(oldBench))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := median(samples["BenchmarkNetsim"]); got != 30000000 {
+	if got := median(all["BenchmarkNetsim"].ns); got != 30000000 {
 		t.Errorf("median = %v, want 30000000", got)
 	}
 	if got := median([]float64{1, 2, 3, 4}); got != 2.5 {
 		t.Errorf("even-count median = %v, want 2.5", got)
+	}
+}
+
+// TestParseBenchmemColumns reads B/op and allocs/op after ns/op and any
+// custom metrics, and leaves them out of the medians of the runs that
+// lack them.
+func TestParseBenchmemColumns(t *testing.T) {
+	all, err := parseBench(strings.NewReader(`BenchmarkA-8 	30	 2000 ns/op	 3.4 ns/item	 4775176 B/op	 107 allocs/op
+BenchmarkA-8 	30	 2100 ns/op	 3.5 ns/item	 4775130 B/op	 109 allocs/op
+BenchmarkA-8 	30	 1900 ns/op	 3.3 ns/item	 4775140 B/op	 108 allocs/op
+BenchmarkB-8 	30	 500 ns/op
+BenchmarkB-8 	30	 600 ns/op	 64 B/op	 1 allocs/op
+BenchmarkC 	30	 700 ns/op	 64 B/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := all["BenchmarkA"], all["BenchmarkB"], all["BenchmarkC"]
+	if a == nil || b == nil || c == nil {
+		t.Fatalf("parsed %v", all)
+	}
+	if median(a.ns) != 2000 || median(a.bytes) != 4775140 || median(a.allocs) != 108 {
+		t.Errorf("BenchmarkA medians %v ns, %v B, %v allocs", median(a.ns), median(a.bytes), median(a.allocs))
+	}
+	if len(b.ns) != 2 || len(b.bytes) != 1 || b.bytes[0] != 64 || b.allocs[0] != 1 {
+		t.Errorf("BenchmarkB samples %+v", *b)
+	}
+	if len(c.ns) != 1 || len(c.bytes) != 0 {
+		t.Errorf("a run with B/op but no allocs/op must count as no -benchmem run: %+v", *c)
+	}
+	if _, err := parseBench(strings.NewReader("BenchmarkA-8 30 2000 ns/op 1.2.3 B/op 1 allocs/op\n")); err == nil {
+		t.Error("a malformed B/op value must fail the parse")
+	}
+}
+
+// TestLedgerGatesAllocations gates B/op and allocs/op at the one
+// memTolerancePct: within it passes, past it fails even when ns/op
+// improved, a zero baseline fails on any allocation, and a row that
+// records them fails when the input lacks -benchmem columns.
+func TestLedgerGatesAllocations(t *testing.T) {
+	dir := t.TempDir()
+	ledger := writeFile(t, dir, "ledger.json", `[
+  {"benchmark": "BenchmarkDecode", "ns_per_op": 1000, "threshold_pct": 100,
+   "bytes_per_op": 4000000, "allocs_per_op": 100},
+  {"benchmark": "BenchmarkZero", "ns_per_op": 1000, "threshold_pct": 100, "allocs_per_op": 0},
+  {"benchmark": "BenchmarkTimeOnly", "ns_per_op": 1000, "threshold_pct": 100}
+]`)
+	run1 := func(bench string) (int, string) {
+		t.Helper()
+		path := writeFile(t, dir, "new.txt", bench)
+		var out, errOut strings.Builder
+		code := run([]string{"-baseline", ledger, path}, &out, &errOut)
+		if errOut.Len() > 0 {
+			t.Fatalf("stderr: %s", errOut.String())
+		}
+		return code, out.String()
+	}
+	// line returns the allocation table's line for a benchmark and unit.
+	line := func(report, name, unit string) string {
+		for _, l := range strings.Split(report, "\n") {
+			if f := strings.Fields(l); len(f) > 1 && f[0] == name && f[1] == unit {
+				return l
+			}
+		}
+		return ""
+	}
+
+	code, out := run1(`BenchmarkDecode-8 30 900 ns/op 4300000 B/op 109 allocs/op
+BenchmarkZero-8 30 900 ns/op 0 B/op 0 allocs/op
+BenchmarkTimeOnly-8 30 900 ns/op
+`)
+	if code != 0 || !strings.Contains(out, "PASS: 3 benchmarks within their limits") {
+		t.Errorf("+7.5%% B/op and +9%% allocs/op must pass, exit %d:\n%s", code, out)
+	}
+	if l := line(out, "BenchmarkDecode", "B/op"); !strings.Contains(l, "+7.5%") {
+		t.Errorf("B/op row %q, want +7.5%%", l)
+	}
+	if l := line(out, "BenchmarkTimeOnly", "B/op"); l != "" {
+		t.Errorf("a row without allocation fields must gate none: %q", l)
+	}
+
+	code, out = run1(`BenchmarkDecode-8 30 500 ns/op 7600000 B/op 100 allocs/op
+BenchmarkZero-8 30 900 ns/op 16 B/op 1 allocs/op
+BenchmarkTimeOnly-8 30 900 ns/op
+`)
+	if code != 1 || !strings.Contains(out, "FAIL: 2 of 3 benchmarks regressed") {
+		t.Errorf("one more copy of the recording and one allocation over zero must fail, exit %d:\n%s", code, out)
+	}
+	if l := line(out, "BenchmarkDecode", "B/op"); !strings.Contains(l, "+90.0%") || !strings.Contains(l, "REGRESSION") {
+		t.Errorf("B/op row %q, want a +90.0%% REGRESSION", l)
+	}
+	if l := line(out, "BenchmarkDecode", "allocs/op"); l == "" || strings.Contains(l, "REGRESSION") {
+		t.Errorf("allocs/op row %q must pass", l)
+	}
+	if l := line(out, "BenchmarkZero", "allocs/op"); !strings.Contains(l, "+Inf%") || !strings.Contains(l, "REGRESSION") {
+		t.Errorf("zero-baseline row %q, want a +Inf%% REGRESSION", l)
+	}
+
+	code, out = run1(`BenchmarkDecode-8 30 900 ns/op
+BenchmarkZero-8 30 900 ns/op 0 B/op 0 allocs/op
+BenchmarkTimeOnly-8 30 900 ns/op
+`)
+	if code != 1 || !strings.Contains(out, "FAIL: 1 of 3 benchmarks regressed") {
+		t.Errorf("a row with allocation fields must fail without -benchmem columns, exit %d:\n%s", code, out)
+	}
+	for _, unit := range []string{"B/op", "allocs/op"} {
+		if l := line(out, "BenchmarkDecode", unit); !strings.Contains(l, "MISSING") {
+			t.Errorf("%s row %q, want MISSING", unit, l)
+		}
 	}
 }

@@ -242,8 +242,15 @@ func printDegraded(out io.Writer, rec *trace.Recorder, frames []latency.Frame, h
 		if scope != "" {
 			r = rec.Child(scope)
 		}
-		events := r.Events()
-		ivs := latency.DegradedIntervals(events, horizon)
+		// The fault windows and the availability cross-check read only
+		// the scope's few environment events.
+		var env []trace.Event
+		r.Each(func(e *trace.Event) {
+			if latency.Environment(e.Kind) {
+				env = append(env, *e)
+			}
+		})
+		ivs := latency.DegradedIntervals(env, horizon)
 		if len(ivs) == 0 {
 			continue
 		}
@@ -266,7 +273,7 @@ func printDegraded(out io.Writer, rec *trace.Recorder, frames []latency.Frame, h
 				name, iv.Kind, iv.Start, iv.Duration(), node, stalled[scopeCause{scope, iv.Cause}])
 		}
 		if workers > 0 && need > 0 {
-			avty := latency.AvailabilityFromTrace(events, workers, need, horizon)
+			avty := latency.AvailabilityFromTrace(env, workers, need, horizon)
 			fmt.Fprintf(out, "  %-8s availability from trace: %.4f%%", name, 100*avty)
 			if desAvty >= 0 {
 				fmt.Fprintf(out, " (DES reported %.4f%%)", 100*desAvty)
@@ -543,11 +550,11 @@ func loadRecording(path string) (*trace.Recorder, error) {
 // lastEventTime finds the recording's latest timestamp across scopes.
 func lastEventTime(rec *trace.Recorder) float64 {
 	var last float64
-	for _, e := range rec.Events() {
+	rec.Each(func(e *trace.Event) {
 		if e.T > last {
 			last = e.T
 		}
-	}
+	})
 	for _, name := range rec.Scopes() {
 		if t := lastEventTime(rec.Child(name)); t > last {
 			last = t

@@ -15,6 +15,7 @@ import (
 	"sudc/internal/degrade"
 	"sudc/internal/faults"
 	"sudc/internal/obs"
+	"sudc/internal/obs/latency"
 	"sudc/internal/obs/slo"
 	"sudc/internal/obs/trace"
 	"sudc/internal/obs/window"
@@ -320,6 +321,81 @@ func TestWindowsFromTraceMatchesNative(t *testing.T) {
 			t.Errorf("w%d throttle occupancy: trace %v s, native %v s",
 				n.Index, d.ThrottleSec, n.ThrottleSec)
 		}
+	}
+}
+
+// TestWindowsFromTraceMatchesNativeAcrossCells is the native-stream
+// check on a sharded Walker: a frame that crosses cells is captured in
+// one cell's scope and computed in another's, so its latency needs the
+// capture time from a sibling scope.
+func TestWindowsFromTraceMatchesNativeAcrossCells(t *testing.T) {
+	g, err := topo.Walker(4, 8, 5, 2, 250*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cellsConfig(g)
+	c.Shards = 2
+	rec := trace.New(0)
+	c.Trace = rec
+	var native []window.Window
+	c.OnWindow = func(w window.Window) { native = append(native, w) }
+	s, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.CrossShardFrames == 0 {
+		t.Fatal("no frame crossed cells: the check would be vacuous")
+	}
+	derived := slo.WindowsFromTrace(rec, c.Window.Seconds(), c.Duration.Seconds(), 0, 0)
+	if len(derived) != len(native) {
+		t.Fatalf("trace reconstruction has %d windows, native stream %d", len(derived), len(native))
+	}
+	for i, n := range native {
+		d := derived[i]
+		if d.Index != n.Index || d.Counts != n.Counts || d.Lat != n.Lat || d.LatCount != n.LatCount {
+			t.Errorf("w%d: trace-derived counts or latency differ from the native stream:\n trace %v %v (%d)\n native %v %v (%d)",
+				n.Index, d.Counts, d.Lat, d.LatCount, n.Counts, n.Lat, n.LatCount)
+		}
+	}
+}
+
+// TestWindowsFromTraceKeepsReplicasApart pins each frame's capture time
+// to its own replica. RunReplicas records every replica in its own
+// scope and numbers every replica's frames from the same IDs, so a
+// capture time looked up across the whole recording belongs to another
+// replica's frame. The trace-derived latency sum must equal the
+// per-scope compute end minus capture of DecomposeAll, over the same
+// frames.
+func TestWindowsFromTraceKeepsReplicasApart(t *testing.T) {
+	c := DefaultConfig(workload.Suite[0])
+	c.Duration = 10 * time.Minute
+	rec := trace.New(0)
+	c.Trace = rec
+	if _, err := RunReplicas(c, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	var got float64
+	var samples int64
+	for _, w := range slo.WindowsFromTrace(rec, time.Minute.Seconds(), c.Duration.Seconds(), c.Workers, c.Workers) {
+		got += w.LatSum
+		samples += w.LatCount
+	}
+	var want float64
+	var frames int64
+	for _, f := range latency.DecomposeAll(rec) {
+		for _, e := range f.Events {
+			if e.Kind == trace.ComputeEnd {
+				want += e.T - f.Captured
+				frames++
+			}
+		}
+	}
+	if frames == 0 || samples != frames {
+		t.Fatalf("window stream holds %d latency samples, the recording %d computed frames", samples, frames)
+	}
+	if math.Abs(got-want) > 1e-9*want {
+		t.Errorf("window stream latency sum %.1f s, per-scope truth %.1f s over %d frames (%+.2f%%)",
+			got, want, frames, 100*(got-want)/want)
 	}
 }
 

@@ -6,7 +6,11 @@ import "sudc/internal/obs/trace"
 // record order), for the external tests. Frames are returned in
 // ascending ID order.
 func Decompose(events []trace.Event) []Frame {
-	return decompose("", events)
+	rec := trace.New(len(events))
+	for _, e := range events {
+		rec.Record(e)
+	}
+	return decompose("", rec)
 }
 
 // Sort is the sort kernel behind Summarize, for the external tests and

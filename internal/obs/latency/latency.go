@@ -110,13 +110,14 @@ type sefiWindow struct {
 }
 
 // DecomposeAll reconstructs lineages across the recorder's root scope
-// and every child scope, ordered by (scope, frame ID).
+// and every child scope, ordered by (scope, frame ID). It reads each
+// scope's log in place (trace.Recorder.Each) and copies only the
+// frames' own events, into their timelines.
 func DecomposeAll(rec *trace.Recorder) []Frame {
-	var out []Frame
 	if rec == nil {
 		return nil
 	}
-	out = append(out, decompose("", rec.Events())...)
+	out := decompose("", rec)
 	for _, name := range rec.Scopes() {
 		out = append(out, decomposeAllScoped(rec.Child(name), name)...)
 	}
@@ -126,71 +127,86 @@ func DecomposeAll(rec *trace.Recorder) []Frame {
 // decomposeAllScoped is DecomposeAll with scope names prefixed by the
 // given path — the recursion behind child scopes.
 func decomposeAllScoped(rec *trace.Recorder, prefix string) []Frame {
-	if rec == nil {
-		return nil
-	}
-	out := decompose(prefix, rec.Events())
+	out := decompose(prefix, rec)
 	for _, name := range rec.Scopes() {
 		out = append(out, decomposeAllScoped(rec.Child(name), prefix+"/"+name)...)
 	}
 	return out
 }
 
-func decompose(scope string, events []trace.Event) []Frame {
-	type fstate struct {
+// decompose reconstructs the lineages of one scope's events in two
+// passes over its log. The second pass stops at the events the first
+// one saw, so events recorded in between cannot reach it.
+func decompose(scope string, rec *trace.Recorder) []Frame {
+	// Pass 1 lists the frames in first-seen order with their first
+	// timestamp and event count, so the frames are allocated at their
+	// final size and every frame's timeline is carved out of one array.
+	type firstSeen struct {
+		id    int64
+		first float64
 		n     int // the frame's event count
+	}
+	var (
+		index = map[int64]int{} // frame ID -> position in frames
+		seen  []firstSeen
+		total int // frame events
+		read  int // events of the scope, frame-less ones included
+	)
+	rec.Each(func(e *trace.Event) {
+		read++
+		if e.Frame == 0 {
+			return
+		}
+		i, ok := index[e.Frame]
+		if !ok {
+			i = len(seen)
+			index[e.Frame] = i
+			seen = append(seen, firstSeen{id: e.Frame, first: e.T})
+		}
+		seen[i].n++
+		total++
+	})
+	if len(seen) == 0 {
+		return nil
+	}
+	type fstate struct {
 		stage Stage
 		last  float64
 		open  bool // between capture and terminal event
 		node  int  // current worker while computing
 	}
-	// Pass 1 lists the frames in first-seen order and counts their
-	// events, so every frame's timeline can be carved out of one array.
-	var (
-		index  = map[int64]int{} // frame ID -> position in frames
-		frames = []Frame{}
-		states []fstate
-		total  int
-	)
-	for _, e := range events {
-		if e.Frame == 0 {
-			continue
-		}
-		i, ok := index[e.Frame]
-		if !ok {
-			i = len(frames)
-			index[e.Frame] = i
-			frames = append(frames, Frame{ID: e.Frame, Scope: scope, Captured: e.T, Outcome: "in-flight"})
-			states = append(states, fstate{node: -1})
-		}
-		states[i].n++
-		total++
-	}
+	frames := make([]Frame, len(seen))
+	states := make([]fstate, len(seen))
 	// Full slice expressions cap each timeline at its own events, so a
 	// caller appending to one frame's Events cannot reach its neighbour.
 	backing := make([]trace.Event, total)
 	off := 0
-	for i := range frames {
-		n := states[i].n
-		frames[i].Events = backing[off : off : off+n]
-		off += n
+	for i, fs := range seen {
+		frames[i] = Frame{ID: fs.id, Scope: scope, Captured: fs.first, Outcome: "in-flight",
+			Events: backing[off : off : off+fs.n]}
+		states[i].node = -1
+		off += fs.n
 	}
 	var sefis []sefiWindow
-	for _, e := range events {
+	rec.Each(func(e *trace.Event) {
+		if read == 0 {
+			return
+		}
+		read--
 		// Reconstruct SEFI windows for compute-stall attribution.
 		if e.Kind == trace.SEFIStart {
 			sefis = append(sefis, sefiWindow{node: e.Node, start: e.T, end: e.T + e.Dur})
 		}
 		if e.Frame == 0 {
-			continue
+			return
 		}
 		i := index[e.Frame]
 		f, st := &frames[i], &states[i]
-		f.Events = append(f.Events, e)
+		f.Events = append(f.Events, *e)
 		if e.Kind == trace.FrameCaptured {
 			st.open, st.last, st.stage = true, e.T, StageQueue
 			f.Captured = e.T
-			continue
+			return
 		}
 		if st.open {
 			// Close the interval since the previous event under the
@@ -245,7 +261,7 @@ func decompose(scope string, events []trace.Event) []Frame {
 		if f.Done < e.T {
 			f.Done = e.T
 		}
-	}
+	})
 	sort.Slice(frames, func(i, j int) bool { return frames[i].ID < frames[j].ID })
 	return frames
 }
@@ -382,6 +398,18 @@ type Interval struct {
 
 // Duration is the window length.
 func (iv Interval) Duration() float64 { return iv.End - iv.Start }
+
+// Environment reports whether events of kind k change the service
+// environment: the frame-less fault and degradation events, the only
+// ones DegradedIntervals and AvailabilityFromTrace read.
+func Environment(k trace.Kind) bool {
+	switch k {
+	case trace.NodeDeath, trace.SEFIStart, trace.SEFIEnd, trace.OutageStart, trace.OutageEnd,
+		trace.Throttle, trace.BrownoutStart, trace.BrownoutEnd:
+		return true
+	}
+	return false
+}
 
 // DegradedIntervals reconstructs the fault windows of one scope's
 // events, sorted by start time. horizon clips open-ended windows. The

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sudc/internal/constellation"
 	"sudc/internal/faults"
@@ -370,5 +371,27 @@ func TestDegradedIntervalsPerKind(t *testing.T) {
 				t.Errorf("DegradedIntervals = %+v, want %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestDecomposeAllAllocatesNoRecordingCopy pins that DecomposeAll reads
+// the recording in place: padding the reference recording with span
+// events, which add no frame and no fault, must not make it allocate
+// more. A copy of each scope's events would grow with the padding.
+func TestDecomposeAllAllocatesNoRecordingCopy(t *testing.T) {
+	const pad = 20_000
+	plain, padded := tracetest.Padded(t, 0), tracetest.Padded(t, pad)
+	var frames []latency.Frame
+	base := tracetest.AllocBytes(3, func() { frames = latency.DecomposeAll(plain) })
+	got := tracetest.AllocBytes(3, func() { frames = latency.DecomposeAll(padded) })
+	if len(frames) == 0 {
+		t.Fatal("the reference recording decomposed to no frames")
+	}
+	t.Logf("DecomposeAll allocated %d bytes, %d with %d span events of padding", base, got, pad)
+	// A copy would add the padding's pad × 144 bytes; a quarter of that
+	// leaves room for the map layouts, which vary with the hash seed.
+	if got > base+pad*uint64(unsafe.Sizeof(trace.Event{}))/4 {
+		t.Errorf("DecomposeAll allocated %d bytes for the recording padded with %d span events, %d without: it copies the recording",
+			got, pad, base)
 	}
 }

@@ -33,57 +33,94 @@ type envEdge struct {
 // (clips open-ended fault windows), and workers/need the per-scope
 // complement for the availability occupancy (workers ≤ 0 disables it,
 // leaving per-window availability at 1).
+//
+// It reads every scope's log in place (trace.Recorder.Each), twice: a
+// first pass notes each scope's frame capture times and copies out its
+// few environment events; the second replays the scope into windows.
+// A frame's latency runs from its capture in its own scope or, failing
+// that, in a sibling scope: the cells of one sharded run are siblings,
+// while each replica of a RunReplicas recording captures and computes
+// its frames, whose IDs repeat across replicas, in its own scope.
 func WindowsFromTrace(rec *trace.Recorder, width, horizon float64, workers, need int) []window.Window {
 	if rec == nil || width <= 0 {
 		return nil
 	}
-	born := map[int64]float64{}
-	var scopes []string
-	byScope := map[string][]trace.Event{}
-	var walk func(r *trace.Recorder, prefix string)
-	walk = func(r *trace.Recorder, prefix string) {
-		events := r.Events()
-		for _, e := range events {
-			if e.Kind == trace.FrameCaptured {
-				born[e.Frame] = e.T
+	var scopes []*traceScope
+	var walk func(r *trace.Recorder, parent *traceScope)
+	walk = func(r *trace.Recorder, parent *traceScope) {
+		s := &traceScope{rec: r, parent: parent, born: map[int64]float64{}}
+		r.Each(func(e *trace.Event) {
+			s.n++
+			switch {
+			case e.Kind == trace.SpanDone || e.Kind == trace.SLOAlert:
+				// Derived events: a scope holding only these is no cell.
+				return
+			case e.Kind == trace.FrameCaptured:
+				s.born[e.Frame] = e.T
+			case latency.Environment(e.Kind):
+				s.env = append(s.env, *e)
 			}
-		}
-		if hasSimEvents(events) {
-			scopes = append(scopes, prefix)
-			byScope[prefix] = events
+			s.cell = true
+		})
+		scopes = append(scopes, s)
+		if parent != nil {
+			parent.children = append(parent.children, s)
 		}
 		for _, name := range r.Scopes() {
-			full := name
-			if prefix != "" {
-				full = prefix + "/" + name
-			}
-			walk(r.Child(name), full)
+			walk(r.Child(name), s)
 		}
 	}
-	walk(rec, "")
+	walk(rec, nil)
 
 	var frags []window.Fragment
-	for cell, scope := range scopes {
-		frags = append(frags, scopeFragments(byScope[scope], cell, width, horizon, workers, need, born)...)
+	cell := 0
+	for _, s := range scopes {
+		if s.cell {
+			frags = append(frags, scopeFragments(s, cell, width, horizon, workers, need)...)
+			cell++
+		}
 	}
 	return window.Merge(width, frags)
 }
 
-// hasSimEvents reports whether the scope carries simulation events
-// (anything but spans and SLO alerts — scopes holding only derived
-// events must not contribute occupancy).
-func hasSimEvents(events []trace.Event) bool {
-	for _, e := range events {
-		if e.Kind != trace.SpanDone && e.Kind != trace.SLOAlert {
-			return true
+// traceScope is what the first pass of WindowsFromTrace keeps of one
+// recorder scope.
+type traceScope struct {
+	rec      *trace.Recorder
+	parent   *traceScope       // nil for the root
+	children []*traceScope     // in name order
+	born     map[int64]float64 // capture time of each frame captured here
+	kidsBorn map[int64]float64 // the children's captures, built on first use
+	env      []trace.Event     // environment events, in record order
+	n        int               // events read: the replay stops there
+	cell     bool              // holds simulation events
+}
+
+// birth returns the capture time of a frame computed in scope s: from s
+// itself, else from the first sibling scope, in name order, that
+// captured it.
+func (s *traceScope) birth(frame int64) (float64, bool) {
+	if t, ok := s.born[frame]; ok || s.parent == nil {
+		return t, ok
+	}
+	p := s.parent
+	if p.kidsBorn == nil {
+		p.kidsBorn = map[int64]float64{}
+		for _, sib := range p.children {
+			for id, t := range sib.born {
+				if _, dup := p.kidsBorn[id]; !dup {
+					p.kidsBorn[id] = t
+				}
+			}
 		}
 	}
-	return false
+	t, ok := p.kidsBorn[frame]
+	return t, ok
 }
 
 // scopeFragments replays one scope into per-window fragments.
-func scopeFragments(events []trace.Event, cell int, width, horizon float64, workers, need int, born map[int64]float64) []window.Fragment {
-	edges := scopeEdges(events, horizon)
+func scopeFragments(s *traceScope, cell int, width, horizon float64, workers, need int) []window.Fragment {
+	edges := scopeEdges(s.env, horizon)
 	col := window.NewCollector(width, cell)
 	var (
 		throttled, browned, outages int
@@ -115,9 +152,14 @@ func scopeFragments(events []trace.Event, cell int, width, horizon float64, work
 			ei++
 		}
 	}
-	for _, e := range events {
+	left := s.n
+	s.rec.Each(func(e *trace.Event) {
+		if left == 0 {
+			return
+		}
+		left--
 		if e.Kind == trace.SpanDone || e.Kind == trace.SLOAlert {
-			continue
+			return
 		}
 		apply(e.T)
 		col.Advance(e.T, env())
@@ -127,8 +169,8 @@ func scopeFragments(events []trace.Event, cell int, width, horizon float64, work
 		case trace.ComputeEnd:
 			if e.Frame > 0 {
 				col.Count(window.CntProcessed, 1)
-				if b, ok := born[e.Frame]; ok {
-					col.Latency(e.T - b)
+				if t, ok := s.birth(e.Frame); ok {
+					col.Latency(e.T - t)
 				}
 			}
 		case trace.Downlinked:
@@ -148,7 +190,7 @@ func scopeFragments(events []trace.Event, cell int, width, horizon float64, work
 				col.Count(window.CntSpilled, 1)
 			}
 		}
-	}
+	})
 	apply(horizon)
 	col.Advance(horizon, env())
 	col.Close()

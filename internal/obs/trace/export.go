@@ -67,21 +67,23 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	}
 	buf := make([]byte, 0, jsonlFlushAt+1024)
 	var err error
-	r.walk("", func(scope string, events []Event) {
-		for i := range events {
-			if err != nil {
-				return
+	r.walk("", func(scope string, log eventBlocks) {
+		log.each(func(events []Event) {
+			for i := range events {
+				if err != nil {
+					return
+				}
+				var ok bool
+				if buf, ok = appendLine(buf, scope, &events[i]); !ok {
+					err = lineError(scope, events[i])
+					return
+				}
+				if len(buf) >= jsonlFlushAt {
+					_, err = w.Write(buf)
+					buf = buf[:0]
+				}
 			}
-			var ok bool
-			if buf, ok = appendLine(buf, scope, &events[i]); !ok {
-				err = lineError(scope, events[i])
-				return
-			}
-			if len(buf) >= jsonlFlushAt {
-				_, err = w.Write(buf)
-				buf = buf[:0]
-			}
-		}
+		})
 	})
 	if err == nil && len(buf) > 0 {
 		_, err = w.Write(buf)
@@ -243,9 +245,8 @@ func DecodeJSONL(rd io.Reader) (*Recorder, error) {
 	rec := New(math.MaxInt)
 	d := lineDecoder{strs: map[string]string{}}
 	var (
-		scopes = map[*Recorder]*eventBlocks{}
-		scope  string
-		blocks *eventBlocks // the current scope's
+		scope string
+		log   *eventBlocks // the current scope's
 	)
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -263,62 +264,23 @@ func DecodeJSONL(rd io.Reader) (*Recorder, error) {
 				return nil, fmt.Errorf("trace: line %d: %w", n, err)
 			}
 		}
-		if blocks == nil || ln.Scope != scope {
+		if log == nil || ln.Scope != scope {
 			scope = ln.Scope
 			target := rec
 			if scope != "" {
 				target = rec.Child(scope)
 			}
-			if blocks = scopes[target]; blocks == nil {
-				blocks = &eventBlocks{}
-				scopes[target] = blocks
-			}
+			// Nothing else can reach rec before it is returned, so the
+			// decoded events go straight into each scope's log, without
+			// its lock.
+			log = &target.log
 		}
-		blocks.add(ln.Event)
+		log.add(&ln.Event)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	// Nothing else can reach rec before it is returned, so fill the
-	// scopes without their locks.
-	for target, b := range scopes {
-		target.events = b.events()
-	}
 	return rec, nil
-}
-
-// eventBlocks collects one scope's decoded events in blocks that never
-// move once allocated, then joins them once at the end. A growing slice
-// would instead re-copy its events on every growth step, allocating
-// several times their final size in total.
-type eventBlocks struct {
-	full [][]Event
-	cur  []Event
-	n    int
-}
-
-func (b *eventBlocks) add(e Event) {
-	if len(b.cur) == cap(b.cur) {
-		if b.cur != nil {
-			b.full = append(b.full, b.cur)
-		}
-		b.cur = make([]Event, 0, min(max(2*cap(b.cur), 256), 1<<15))
-	}
-	b.cur = append(b.cur, e)
-	b.n++
-}
-
-// events returns the collected events as one slice; a single block is
-// returned as it is.
-func (b *eventBlocks) events() []Event {
-	if len(b.full) == 0 {
-		return b.cur
-	}
-	out := make([]Event, 0, b.n)
-	for _, blk := range b.full {
-		out = append(out, blk...)
-	}
-	return append(out, b.cur...)
 }
 
 // decodeLineJSON decodes one line with encoding/json — the path for
@@ -594,10 +556,10 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	}
 	c := chromeWriter{buf: make([]byte, 0, chromeBlock)}
 	c.buf = append(c.buf, `{"traceEvents":[`...)
-	r.walk("", func(scope string, events []Event) {
+	r.walk("", func(scope string, log eventBlocks) {
 		if c.err == nil {
 			c.pid++
-			c.writeScope(scope, events)
+			c.writeScope(scope, log)
 		}
 	})
 	if c.err != nil {
@@ -628,7 +590,7 @@ type chromeWriter struct {
 }
 
 // writeScope renders one scope's events as one process.
-func (c *chromeWriter) writeScope(scope string, events []Event) {
+func (c *chromeWriter) writeScope(scope string, log eventBlocks) {
 	if scope == "" {
 		scope = "main"
 	}
@@ -663,154 +625,157 @@ func (c *chromeWriter) writeScope(scope string, events []Event) {
 		brownout    *openBrownout             // open eclipse-brownout window
 		lastT       float64
 	)
-	for _, e := range events {
-		if e.T > lastT {
-			lastT = e.T
-		}
-		ts := e.T * usPerSec
-		switch e.Kind {
-		case FrameCaptured:
-			c.open()
-			c.nameInt("frame ", e.Frame, "")
-			c.head("i", ts, 0, tidFrames)
-			c.buf = append(c.buf, `,"s":"t","args":{"satellite":`...)
-			c.buf = append(strconv.AppendInt(c.buf, int64(e.Node), 10), '}')
-			c.close()
-			c.flowEvent("s", ts, tidFrames, e.Frame)
-		case ISLSendStart:
-			sendStart[e.Frame] = e.T
-		case ISLSendEnd:
-			start, ok := sendStart[e.Frame]
-			if !ok {
-				break
+	log.each(func(events []Event) {
+		for i := range events {
+			e := &events[i]
+			if e.T > lastT {
+				lastT = e.T
 			}
-			delete(sendStart, e.Frame)
-			c.open()
-			if e.Cause != "" {
-				c.nameInt("xfer f", e.Frame, " (aborted)")
-			} else {
-				c.nameInt("xfer f", e.Frame, "")
-			}
-			c.head("X", start*usPerSec, (e.T-start)*usPerSec, tidISL)
-			if e.Cause != "" || e.Edge != "" {
-				c.buf = append(c.buf, `,"args":{`...)
+			ts := e.T * usPerSec
+			switch e.Kind {
+			case FrameCaptured:
+				c.open()
+				c.nameInt("frame ", e.Frame, "")
+				c.head("i", ts, 0, tidFrames)
+				c.buf = append(c.buf, `,"s":"t","args":{"satellite":`...)
+				c.buf = append(strconv.AppendInt(c.buf, int64(e.Node), 10), '}')
+				c.close()
+				c.flowEvent("s", ts, tidFrames, e.Frame)
+			case ISLSendStart:
+				sendStart[e.Frame] = e.T
+			case ISLSendEnd:
+				start, ok := sendStart[e.Frame]
+				if !ok {
+					break
+				}
+				delete(sendStart, e.Frame)
+				c.open()
 				if e.Cause != "" {
-					c.buf = appendString(append(c.buf, `"cause":`...), e.Cause)
-					if e.Edge != "" {
-						c.buf = append(c.buf, ',')
+					c.nameInt("xfer f", e.Frame, " (aborted)")
+				} else {
+					c.nameInt("xfer f", e.Frame, "")
+				}
+				c.head("X", start*usPerSec, (e.T-start)*usPerSec, tidISL)
+				if e.Cause != "" || e.Edge != "" {
+					c.buf = append(c.buf, `,"args":{`...)
+					if e.Cause != "" {
+						c.buf = appendString(append(c.buf, `"cause":`...), e.Cause)
+						if e.Edge != "" {
+							c.buf = append(c.buf, ',')
+						}
 					}
+					if e.Edge != "" {
+						c.buf = appendString(append(c.buf, `"edge":`...), e.Edge)
+					}
+					c.buf = append(c.buf, '}')
 				}
-				if e.Edge != "" {
-					c.buf = appendString(append(c.buf, `"edge":`...), e.Edge)
+				c.close()
+			case Retry:
+				c.open()
+				c.nameInt("retry f", e.Frame, "")
+				c.head("i", ts, 0, tidISL)
+				c.buf = append(c.buf, `,"s":"t","args":{"attempt":`...)
+				c.buf = strconv.AppendInt(c.buf, int64(e.Attempt), 10)
+				c.buf = append(c.buf, `,"backoff_s":`...)
+				c.float(e.Backoff)
+				c.buf = appendString(append(c.buf, `,"cause":`...), e.Cause)
+				c.buf = append(appendStringField(c.buf, `,"edge":`, e.Edge), '}')
+				c.close()
+			case Shed:
+				c.open()
+				c.nameInt("shed f", e.Frame, "")
+				c.head("i", ts, 0, tidFrames)
+				c.buf = append(c.buf, `,"s":"t"`...)
+				c.close()
+			case Lost:
+				c.open()
+				c.nameInt("lost f", e.Frame, "")
+				c.head("i", ts, 0, tidFrames)
+				c.buf = append(c.buf, `,"s":"t","args":{"attempts":`...)
+				c.buf = strconv.AppendInt(c.buf, int64(e.Attempt), 10)
+				c.buf = append(appendString(append(c.buf, `,"cause":`...), e.Cause), '}')
+				c.close()
+			case Dispatched:
+				c.flowEvent("t", ts, worker(e.Node), e.Frame)
+			case ComputeStart:
+				if e.Frame == 0 {
+					computeOpen[e.Node] = openBatch{start: e.T, n: e.N}
 				}
-				c.buf = append(c.buf, '}')
-			}
-			c.close()
-		case Retry:
-			c.open()
-			c.nameInt("retry f", e.Frame, "")
-			c.head("i", ts, 0, tidISL)
-			c.buf = append(c.buf, `,"s":"t","args":{"attempt":`...)
-			c.buf = strconv.AppendInt(c.buf, int64(e.Attempt), 10)
-			c.buf = append(c.buf, `,"backoff_s":`...)
-			c.float(e.Backoff)
-			c.buf = appendString(append(c.buf, `,"cause":`...), e.Cause)
-			c.buf = append(appendStringField(c.buf, `,"edge":`, e.Edge), '}')
-			c.close()
-		case Shed:
-			c.open()
-			c.nameInt("shed f", e.Frame, "")
-			c.head("i", ts, 0, tidFrames)
-			c.buf = append(c.buf, `,"s":"t"`...)
-			c.close()
-		case Lost:
-			c.open()
-			c.nameInt("lost f", e.Frame, "")
-			c.head("i", ts, 0, tidFrames)
-			c.buf = append(c.buf, `,"s":"t","args":{"attempts":`...)
-			c.buf = strconv.AppendInt(c.buf, int64(e.Attempt), 10)
-			c.buf = append(appendString(append(c.buf, `,"cause":`...), e.Cause), '}')
-			c.close()
-		case Dispatched:
-			c.flowEvent("t", ts, worker(e.Node), e.Frame)
-		case ComputeStart:
-			if e.Frame == 0 {
-				computeOpen[e.Node] = openBatch{start: e.T, n: e.N}
-			}
-		case ComputeEnd:
-			if e.Frame != 0 {
-				c.flowEvent("f", ts, worker(e.Node), e.Frame)
-				break
-			}
-			ob, ok := computeOpen[e.Node]
-			if !ok {
-				break
-			}
-			delete(computeOpen, e.Node)
-			c.batch(ob, "", e.T, worker(e.Node))
-		case NodeDeath:
-			tid := worker(e.Node)
-			if ob, ok := computeOpen[e.Node]; ok {
-				// The batch died with its worker: close the slice here.
+			case ComputeEnd:
+				if e.Frame != 0 {
+					c.flowEvent("f", ts, worker(e.Node), e.Frame)
+					break
+				}
+				ob, ok := computeOpen[e.Node]
+				if !ok {
+					break
+				}
 				delete(computeOpen, e.Node)
-				c.batch(ob, " (stranded)", e.T, tid)
+				c.batch(ob, "", e.T, worker(e.Node))
+			case NodeDeath:
+				tid := worker(e.Node)
+				if ob, ok := computeOpen[e.Node]; ok {
+					// The batch died with its worker: close the slice here.
+					delete(computeOpen, e.Node)
+					c.batch(ob, " (stranded)", e.T, tid)
+				}
+				c.open()
+				c.buf = append(c.buf, `"death"`...)
+				c.head("i", ts, 0, tid)
+				c.buf = append(c.buf, `,"s":"t"`...)
+				c.close()
+			case SEFIStart:
+				tid := worker(e.Node)
+				c.open()
+				c.buf = append(c.buf, `"SEFI"`...)
+				c.head("X", ts, e.Dur*usPerSec, tid)
+				c.close()
+			case OutageStart:
+				outages[e.Edge] = openOutage{start: e.T, cause: e.Cause}
+			case OutageEnd:
+				ow, ok := outages[e.Edge]
+				if !ok {
+					break
+				}
+				delete(outages, e.Edge)
+				c.outage(ow, e.Edge, e.T)
+			case SpanDone:
+				c.open()
+				c.buf = appendString(c.buf, e.Name)
+				c.head("X", (e.T-e.Dur)*usPerSec, e.Dur*usPerSec, tidFrames)
+				c.close()
+			case Throttle:
+				tid := env()
+				c.open()
+				c.buf = append(c.buf, `"throttle ×`...)
+				c.buf = append(strconv.AppendFloat(c.buf, e.Mult, 'f', 2, 64), '"')
+				c.head("X", ts, e.Dur*usPerSec, tid)
+				c.buf = append(c.buf, `,"args":{"rate_mult":`...)
+				c.float(e.Mult)
+				c.buf = append(c.buf, '}')
+				c.close()
+			case BrownoutStart:
+				brownout = &openBrownout{start: e.T, n: e.N, cause: e.Cause}
+			case SLOAlert:
+				tid := env()
+				c.open()
+				c.buf = append(appendEscaped(append(c.buf, `"SLO alert: `...), e.Name), '"')
+				c.head("i", ts, 0, tid)
+				c.buf = appendString(append(c.buf, `,"s":"t","args":{"cause":`...), e.Cause)
+				c.buf = append(c.buf, `,"fast_burn":`...)
+				c.float(e.Mult)
+				c.buf = append(c.buf, `,"window":`...)
+				c.buf = append(strconv.AppendInt(c.buf, int64(e.N), 10), '}')
+				c.close()
+			case BrownoutEnd:
+				if brownout == nil {
+					break
+				}
+				c.brownout(*brownout, "", e.T, env())
+				brownout = nil
 			}
-			c.open()
-			c.buf = append(c.buf, `"death"`...)
-			c.head("i", ts, 0, tid)
-			c.buf = append(c.buf, `,"s":"t"`...)
-			c.close()
-		case SEFIStart:
-			tid := worker(e.Node)
-			c.open()
-			c.buf = append(c.buf, `"SEFI"`...)
-			c.head("X", ts, e.Dur*usPerSec, tid)
-			c.close()
-		case OutageStart:
-			outages[e.Edge] = openOutage{start: e.T, cause: e.Cause}
-		case OutageEnd:
-			ow, ok := outages[e.Edge]
-			if !ok {
-				break
-			}
-			delete(outages, e.Edge)
-			c.outage(ow, e.Edge, e.T)
-		case SpanDone:
-			c.open()
-			c.buf = appendString(c.buf, e.Name)
-			c.head("X", (e.T-e.Dur)*usPerSec, e.Dur*usPerSec, tidFrames)
-			c.close()
-		case Throttle:
-			tid := env()
-			c.open()
-			c.buf = append(c.buf, `"throttle ×`...)
-			c.buf = append(strconv.AppendFloat(c.buf, e.Mult, 'f', 2, 64), '"')
-			c.head("X", ts, e.Dur*usPerSec, tid)
-			c.buf = append(c.buf, `,"args":{"rate_mult":`...)
-			c.float(e.Mult)
-			c.buf = append(c.buf, '}')
-			c.close()
-		case BrownoutStart:
-			brownout = &openBrownout{start: e.T, n: e.N, cause: e.Cause}
-		case SLOAlert:
-			tid := env()
-			c.open()
-			c.buf = append(appendEscaped(append(c.buf, `"SLO alert: `...), e.Name), '"')
-			c.head("i", ts, 0, tid)
-			c.buf = appendString(append(c.buf, `,"s":"t","args":{"cause":`...), e.Cause)
-			c.buf = append(c.buf, `,"fast_burn":`...)
-			c.float(e.Mult)
-			c.buf = append(c.buf, `,"window":`...)
-			c.buf = append(strconv.AppendInt(c.buf, int64(e.N), 10), '}')
-			c.close()
-		case BrownoutEnd:
-			if brownout == nil {
-				break
-			}
-			c.brownout(*brownout, "", e.T, env())
-			brownout = nil
 		}
-	}
+	})
 	// Close windows still open at the end of the recording, edges in
 	// sorted order for a deterministic export.
 	openEdges := make([]string, 0, len(outages))

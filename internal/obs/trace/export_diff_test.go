@@ -9,7 +9,7 @@ import (
 )
 
 // scopeView is a recorder's comparable content: everything but its
-// lock and creation time.
+// lock, its creation time and where its log's blocks end.
 type scopeView struct {
 	Limit    int
 	Events   []Event
@@ -18,7 +18,7 @@ type scopeView struct {
 }
 
 func view(r *Recorder) scopeView {
-	v := scopeView{Limit: r.limit, Events: r.events, Dropped: r.dropped}
+	v := scopeView{Limit: r.limit, Events: r.Events(), Dropped: r.dropped}
 	for name, c := range r.children {
 		if v.Children == nil {
 			v.Children = map[string]scopeView{}

@@ -21,11 +21,11 @@ func refWriteJSONL(r *Recorder, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	var err error
-	r.walk("", func(scope string, events []Event) {
+	r.walk("", func(scope string, log eventBlocks) {
 		if err != nil {
 			return
 		}
-		for _, e := range events {
+		for _, e := range flat(log) {
 			if encErr := enc.Encode(Line{Scope: scope, Event: e}); encErr != nil {
 				err = encErr
 				return
@@ -36,6 +36,14 @@ func refWriteJSONL(r *Recorder, w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// flat joins a scope's log into one slice: the reference reads events,
+// not block boundaries.
+func flat(log eventBlocks) []Event {
+	var out []Event
+	log.each(func(events []Event) { out = append(out, events...) })
+	return out
 }
 
 // refDecodeJSONL decodes into an unbounded recorder, the contract
@@ -98,9 +106,9 @@ func refWriteChrome(r *Recorder, w io.Writer) error {
 	}
 	var out []refChromeEvent
 	pid := 0
-	r.walk("", func(scope string, events []Event) {
+	r.walk("", func(scope string, log eventBlocks) {
 		pid++
-		out = append(out, refScopeChrome(pid, scope, events)...)
+		out = append(out, refScopeChrome(pid, scope, flat(log))...)
 	})
 	b, err := json.Marshal(refChromeFile{TraceEvents: out, DisplayTimeUnit: "ms"})
 	if err != nil {

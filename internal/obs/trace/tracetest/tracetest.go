@@ -1,9 +1,12 @@
 // Package tracetest builds the flight recording the codec and latency
-// benchmarks share. It lives in its own package so package trace and
-// its analysers never import the simulator outside their tests.
+// benchmarks share, and measures what the recorder's readers allocate.
+// It lives in its own package so package trace and its analysers never
+// import the simulator outside their tests.
 package tracetest
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -45,6 +48,37 @@ func Reference(tb testing.TB) *trace.Recorder {
 	rec, err := reference()
 	if err != nil {
 		tb.Fatal(err)
+	}
+	return rec
+}
+
+// AllocBytes returns the fewest heap bytes one call of f allocated over
+// runs calls, as runtime.MemStats.TotalAlloc counts them. The fewest
+// leaves out what the runtime's own goroutines allocate at random
+// points of a call.
+func AllocBytes(runs int, f func()) uint64 {
+	var ms runtime.MemStats
+	best := uint64(math.MaxUint64)
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		best = min(best, ms.TotalAlloc-before)
+	}
+	return best
+}
+
+// Padded returns a new recorder holding the reference recording's
+// events followed by pad span events. A span event carries no frame
+// and no fault, so a reader that copies nothing of the recording
+// allocates as much for the padded recording as for the plain one.
+func Padded(tb testing.TB, pad int) *trace.Recorder {
+	tb.Helper()
+	rec := trace.New(0)
+	Reference(tb).Each(func(e *trace.Event) { rec.Record(*e) })
+	for i := 0; i < pad; i++ {
+		rec.Record(trace.Event{T: 1, Kind: trace.SpanDone, Node: -1, Name: "pad"})
 	}
 	return rec
 }
